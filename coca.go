@@ -16,7 +16,6 @@ import (
 	"repro/internal/p3"
 	"repro/internal/predict"
 	"repro/internal/price"
-	"repro/internal/queueing"
 	"repro/internal/renewable"
 	"repro/internal/reqsim"
 	"repro/internal/serve"
@@ -440,40 +439,9 @@ func RunTraced(sc *Scenario, p Policy, tr *Tracer, observers ...Observer) (*RunR
 	return sim.RunTraced(sc, p, tr, observers...)
 }
 
-// Queueing validation (paper Eq. 4).
-type (
-	// QueueConfig configures the event-driven M/G/1/PS simulator.
-	QueueConfig = queueing.Config
-	// QueueResult summarizes a queueing run.
-	QueueResult = queueing.Result
-)
-
-// ServiceDist samples i.i.d. service requirements for the queueing
-// simulator. Construct values with ExponentialService,
-// DeterministicService or HyperexpService.
-type ServiceDist = queueing.ServiceDist
-
-// ExponentialService returns an exponential requirement distribution.
-func ExponentialService(mean float64) ServiceDist { return queueing.ExponentialService(mean) }
-
-// DeterministicService returns a constant requirement.
-func DeterministicService(mean float64) ServiceDist { return queueing.DeterministicService(mean) }
-
-// HyperexpService returns a high-variance two-phase requirement.
-func HyperexpService(mean, p float64) ServiceDist { return queueing.HyperexpService(mean, p) }
-
-// SimulateQueue runs the event-driven M/G/1/PS simulation.
-func SimulateQueue(cfg QueueConfig) (QueueResult, error) { return queueing.Simulate(cfg) }
-
-// AnalyticMeanJobs is the M/G/1/PS prediction λ/(x−λ) behind Eq. (4).
-func AnalyticMeanJobs(arrivalRPS, serviceRPS float64) float64 {
-	return queueing.AnalyticMeanJobs(arrivalRPS, serviceRPS)
-}
-
-// Request-level engine (internal/reqsim): the high-throughput sharded
-// M/G/1/PS simulator and its slot-pipeline replay hooks. Unlike the
-// reference queueing simulator above — which it matches bit for bit on
-// identical seeds — it recycles every slab across runs (zero steady-state
+// Request-level engine (internal/reqsim): the event-driven M/G/1/PS
+// simulator behind the paper's Eq. (4) delay model, and its slot-pipeline
+// replay hooks. It recycles every slab across runs (zero steady-state
 // allocations) and fans shards over a worker pool with results invariant
 // to the worker count.
 type (
@@ -509,6 +477,22 @@ func NewReqsimPool(workers int) *ReqsimPool { return reqsim.NewPool(workers) }
 
 // SimulateRequests runs one request-level simulation on a fresh engine.
 func SimulateRequests(cfg ReqsimConfig) (ReqsimResult, error) { return reqsim.Simulate(cfg) }
+
+// ExponentialService returns an exponential requirement distribution.
+func ExponentialService(mean float64) ReqsimServiceSampler { return reqsim.ExponentialService(mean) }
+
+// DeterministicService returns a constant requirement.
+func DeterministicService(mean float64) ReqsimServiceSampler {
+	return reqsim.DeterministicService(mean)
+}
+
+// HyperexpService returns a high-variance two-phase requirement.
+func HyperexpService(mean, p float64) ReqsimServiceSampler { return reqsim.HyperexpService(mean, p) }
+
+// AnalyticMeanJobs is the M/G/1/PS prediction λ/(x−λ) behind Eq. (4).
+func AnalyticMeanJobs(arrivalRPS, serviceRPS float64) float64 {
+	return reqsim.AnalyticMeanJobs(arrivalRPS, serviceRPS)
+}
 
 // ParetoService returns a heavy-tailed Pareto requirement distribution
 // (alpha > 1) for the arm where the analytic model's insensitivity

@@ -71,7 +71,7 @@ func TestPublicAPIGSD(t *testing.T) {
 
 func TestPublicAPIQueueingValidation(t *testing.T) {
 	// Eq. (4)'s delay model against the event-driven M/G/1/PS simulator.
-	res, err := SimulateQueue(QueueConfig{
+	res, err := SimulateRequests(ReqsimConfig{
 		ArrivalRPS: 5, ServiceRPS: 10,
 		Service: ExponentialService(1),
 		Horizon: 20000, Warmup: 1000, Seed: 7,

@@ -55,10 +55,10 @@ func ExampleSolveGSD() {
 	// GSD within 1% of optimum: true
 }
 
-// ExampleSimulateQueue validates the paper's Eq. (4) delay model against
+// ExampleSimulateRequests validates the paper's Eq. (4) delay model against
 // the event-driven M/G/1/PS simulator at 50% utilization.
-func ExampleSimulateQueue() {
-	res, err := coca.SimulateQueue(coca.QueueConfig{
+func ExampleSimulateRequests() {
+	res, err := coca.SimulateRequests(coca.ReqsimConfig{
 		ArrivalRPS: 5, ServiceRPS: 10,
 		Service: coca.ExponentialService(1),
 		Horizon: 50000, Warmup: 2000, Seed: 42,

@@ -144,8 +144,8 @@ func TestFacadeSurface(t *testing.T) {
 	sys.Settle(gout)
 
 	// Queueing distributions.
-	if DeterministicService(1) == nil || HyperexpService(1, 0.2) == nil {
-		t.Error("service constructors returned nil")
+	if !DeterministicService(1).Valid() || !HyperexpService(1, 0.2).Valid() {
+		t.Error("service constructors returned an invalid sampler")
 	}
 
 	// Experiments config.

@@ -95,15 +95,17 @@ func runFleetHash(t testing.TB, sites []FleetSite, slots, iters, workers int) ui
 }
 
 // TestFleetGoldenParityWorkers pins the fleet step bit-for-bit: sequential
-// (workers=1) and parallel (workers=8) runs over the same sites must hash
-// identically, deficit feedback included, so any schedule-dependent drift
-// compounds and is caught.
+// (workers=1) and parallel runs over the same sites — 8 workers, and 32,
+// more workers than sites — must hash identically, deficit feedback
+// included, so any schedule-dependent drift compounds and is caught.
 func TestFleetGoldenParityWorkers(t *testing.T) {
 	const slots = 6
 	seq := runFleetHash(t, makeFleetSites(8, 12, 10, slots), slots, 40, 1)
-	par := runFleetHash(t, makeFleetSites(8, 12, 10, slots), slots, 40, 8)
-	if seq != par {
-		t.Fatalf("fleet parallel step diverged: seq %016x par %016x", seq, par)
+	for _, workers := range []int{8, 32} {
+		par := runFleetHash(t, makeFleetSites(8, 12, 10, slots), slots, 40, workers)
+		if seq != par {
+			t.Fatalf("fleet parallel step diverged at %d workers: seq %016x par %016x", workers, seq, par)
+		}
 	}
 }
 

@@ -344,28 +344,6 @@ func (in *Instance) Feasible() bool {
 	return in.prob.LambdaRPS <= in.rateSum*in.prob.Cluster.Gamma*(1+1e-12)
 }
 
-// ProposalFeasible estimates whether retargeting group g to speed k would
-// leave the configuration feasible, without mutating the instance. The rate
-// sum is delta-adjusted rather than recomputed as a fresh ordered sum, so in
-// borderline cases (within a few ulps of the γ bound) the answer may differ
-// from what SetSpeed+Feasible would report — callers must treat it as an
-// advisory prediction, never as the authoritative check.
-func (in *Instance) ProposalFeasible(g, k int) bool {
-	if g < 0 || g >= len(in.pos) || k < 0 || k > in.arr.NumSpeeds[g] {
-		return false
-	}
-	var cur float64
-	if p := in.pos[g]; p >= 0 {
-		cur = in.gRate[p]
-	}
-	var next float64
-	if k > 0 {
-		next = in.arr.Rate(g, k)
-	}
-	rs := in.rateSum - cur + next
-	return in.prob.LambdaRPS <= rs*in.prob.Cluster.Gamma*(1+1e-12)
-}
-
 // SetSpeed retargets cluster group g to speed index k, updating the prepared
 // subproblem in place, and snapshots the previous state so Revert can undo
 // it. On groups stay ordered by cluster index, exactly as NewInstance builds

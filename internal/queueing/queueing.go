@@ -11,14 +11,14 @@
 // when F reaches F(a) + S. Tracking jobs in a min-heap keyed by that
 // completion level makes every event O(log n).
 //
-// This package is the small, obviously-correct oracle. The high-throughput
-// engine in internal/reqsim is parity-tested bit-for-bit against it, so it
-// stays deliberately simple — but not wasteful: the job heap is a plain
-// slice (no container/heap interface boxing, which allocated one `any` per
-// arrival), and the built-in service distributions hoist their parameter
-// arithmetic out of the per-event sampling path. TestSimulateAllocsBounded
-// pins the per-run allocation count so the oracle's own benchmarks stay
-// honest.
+// This package is the small, obviously-correct oracle, imported only by
+// tests: production code simulates through internal/reqsim, which is
+// parity-tested bit-for-bit against it. It stays deliberately simple — but
+// not wasteful: the job heap is a plain slice (no container/heap interface
+// boxing, which allocated one `any` per arrival), and the built-in service
+// distributions hoist their parameter arithmetic out of the per-event
+// sampling path. TestSimulateAllocsBounded pins the per-run allocation
+// count so the oracle's own benchmarks stay honest.
 package queueing
 
 import (

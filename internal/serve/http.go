@@ -157,16 +157,40 @@ func stepStatus(err error) int {
 	}
 }
 
+// maxDecideBody caps a /decide request body. A SlotInput is four numbers,
+// so this leaves ample room for whitespace and nothing else.
+const maxDecideBody = 64 << 10
+
+// bodyStatus maps a request-body read error to an HTTP status: an
+// oversize body is 413, anything else the client sent is malformed.
+func bodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// handleDecide decides exactly one slot: the body must be a single
+// SlotInput document, so trailing content is rejected rather than silently
+// dropped.
 func (s *Service) handleDecide(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a SlotInput JSON document", http.StatusMethodNotAllowed)
 		return
 	}
 	var in SlotInput
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDecideBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&in); err != nil {
-		http.Error(w, fmt.Sprintf("malformed slot input: %v", err), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("malformed slot input: %v", err), bodyStatus(err))
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing content after the SlotInput document")
+		}
+		http.Error(w, fmt.Sprintf("malformed slot input: %v", err), bodyStatus(err))
 		return
 	}
 	d, err := s.Step(in)

@@ -65,6 +65,28 @@ func TestHandlerDecide(t *testing.T) {
 		t.Fatalf("negative lambda = %d, want 400", resp.StatusCode)
 	}
 
+	// A second document after the first is rejected, not silently dropped.
+	resp, err = http.Post(srv.URL+"/decide", "application/json",
+		strings.NewReader(`{"lambda_rps":1}{"lambda_rps":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("trailing document = %d, want 400", resp.StatusCode)
+	}
+
+	// An oversize body is cut off at the cap.
+	resp, err = http.Post(srv.URL+"/decide", "application/json",
+		strings.NewReader(`{"lambda_rps":`+strings.Repeat(" ", 100<<10)+`1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body = %d, want 413", resp.StatusCode)
+	}
+
 	// Wrong method.
 	resp, err = http.Get(srv.URL + "/decide")
 	if err != nil {
