@@ -242,21 +242,18 @@ func BenchmarkGeoStep(b *testing.B) {
 // benchGeoSites builds a deterministic K-site federation for
 // BenchmarkGeoStep: staggered price levels and on-site renewables over
 // Opteron fleets.
-func benchGeoSites(k, slots int) []geo.Site {
-	sites := make([]geo.Site, k)
+func benchGeoSites(k, slots int) []geo.FleetSite {
+	sites := make([]geo.FleetSite, k)
 	for i := range sites {
 		p := price.CAISOYear(uint64(i + 1))
 		scale := 0.4 + 0.15*float64(i%5)
 		for j := range p.Values {
 			p.Values[j] *= scale
 		}
-		sites[i] = geo.Site{
-			Name:   fmt.Sprintf("s%02d", i),
-			Server: dcmodel.Opteron(),
-			N:      60 + 10*(i%4),
-			Gamma:  0.95,
-			PUE:    1,
-			Price:  p,
+		sites[i] = geo.FleetSite{
+			Name:    fmt.Sprintf("s%02d", i),
+			Cluster: &dcmodel.Cluster{Groups: []dcmodel.Group{{Type: dcmodel.Opteron(), N: 60 + 10*(i%4)}}, Gamma: 0.95, PUE: 1},
+			Price:   p,
 			Portfolio: &renewable.Portfolio{
 				OnsiteKW:   trace.Constant("r", float64(i%3), slots),
 				OffsiteKWh: trace.Constant("f", 2, slots),

@@ -363,21 +363,18 @@ func runBench(path string, workers int, reg *telemetry.Registry, scaleSpec strin
 // benchGeoSites builds the deterministic K-site federation the geo bench
 // steps: staggered price levels and on-site renewables over Opteron fleets,
 // matching the recipe of the golden parity tests in internal/geo.
-func benchGeoSites(k, slots int) []geo.Site {
-	sites := make([]geo.Site, k)
+func benchGeoSites(k, slots int) []geo.FleetSite {
+	sites := make([]geo.FleetSite, k)
 	for i := range sites {
 		p := price.CAISOYear(uint64(i + 1))
 		scale := 0.4 + 0.15*float64(i%5)
 		for j := range p.Values {
 			p.Values[j] *= scale
 		}
-		sites[i] = geo.Site{
-			Name:   fmt.Sprintf("s%02d", i),
-			Server: dcmodel.Opteron(),
-			N:      500 + 100*(i%4),
-			Gamma:  0.95,
-			PUE:    1,
-			Price:  p,
+		sites[i] = geo.FleetSite{
+			Name:    fmt.Sprintf("s%02d", i),
+			Cluster: &dcmodel.Cluster{Groups: []dcmodel.Group{{Type: dcmodel.Opteron(), N: 500 + 100*(i%4)}}, Gamma: 0.95, PUE: 1},
+			Price:   p,
 			Portfolio: &renewable.Portfolio{
 				OnsiteKW:   trace.Constant("r", float64(i%3), slots),
 				OffsiteKWh: trace.Constant("f", 20, slots),

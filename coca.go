@@ -280,8 +280,9 @@ func BatchWorkload(seed uint64, slots int, jobsPerSlot, meanSizeServerHours floa
 // Geographic load balancing (multi-site extension; the setting of the
 // paper's refs [21][29][32]).
 type (
-	// GeoSite is one data center in a federation.
-	GeoSite = geo.Site
+	// GeoSite is one data center in a federation: a cluster (a single
+	// server type for a GeoSystem) under its own price and renewables.
+	GeoSite = geo.FleetSite
 	// GeoSystem is a federation with per-site carbon-deficit queues.
 	GeoSystem = geo.System
 	// GeoStepOutcome is one stepped federation slot.
@@ -533,8 +534,6 @@ type (
 	// ControllerCheckpoint snapshots a Controller: slot cursor, switching
 	// anchor, deficit queue and the solver's opaque cross-slot state.
 	ControllerCheckpoint = core.ControllerCheckpoint
-	// PolicyCheckpoint snapshots the homogeneous COCA policy.
-	PolicyCheckpoint = core.PolicyCheckpoint
 	// EngineCheckpoint snapshots a sim Engine mid-run.
 	EngineCheckpoint = sim.EngineCheckpoint
 	// QueueCheckpoint snapshots a DeficitQueue.

@@ -34,8 +34,9 @@ func main() {
 			offsite.Values[i] *= budgetPerSlot * 0.8
 		}
 		return coca.GeoSite{
-			Name: name, Server: coca.Opteron(), N: 400, Gamma: 0.95, PUE: 1,
-			Price: p,
+			Name:    name,
+			Cluster: &coca.Cluster{Groups: []coca.Group{{Type: coca.Opteron(), N: 400}}, Gamma: 0.95, PUE: 1},
+			Price:   p,
 			Portfolio: &coca.Portfolio{
 				OnsiteKW:   onsite,
 				OffsiteKWh: offsite,

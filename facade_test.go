@@ -125,8 +125,9 @@ func TestFacadeSurface(t *testing.T) {
 
 	// Geo federation.
 	site := GeoSite{
-		Name: "a", Server: Opteron(), N: 50, Gamma: 0.95, PUE: 1,
-		Price: CAISOYear(5),
+		Name:    "a",
+		Cluster: &Cluster{Groups: []Group{{Type: Opteron(), N: 50}}, Gamma: 0.95, PUE: 1},
+		Price:   CAISOYear(5),
 		Portfolio: &Portfolio{
 			OnsiteKW:   SolarYear(6),
 			OffsiteKWh: WindYear(7),

@@ -1,11 +1,12 @@
 package core
 
-// Checkpoint/restore of controller state: both COCA forms (the sim-engine
-// Policy and the group-level Controller) expose their cross-slot state —
-// deficit queue, switching-cost anchor, slot cursor, and the P3 solver's
-// evolved state — as explicit, versioned snapshot values with exact JSON
+// Checkpoint/restore of controller state: both COCA forms expose their
+// cross-slot state as explicit, versioned snapshot values with exact JSON
 // round-trips, so a controller interrupted mid-year can be restarted and
-// continue bit-for-bit.
+// continue bit-for-bit. The sim-engine Policy's only state is its deficit
+// queue (the engine owns the clock and the switching anchor); the
+// group-level Controller adds its slot cursor, switching anchor and the
+// P3 solver's evolved state.
 
 import (
 	"encoding/json"
@@ -22,7 +23,9 @@ import (
 type SolverState interface {
 	// CheckpointState returns the solver's evolved state as JSON.
 	CheckpointState() ([]byte, error)
-	// RestoreState replaces the solver's evolved state from JSON.
+	// RestoreState replaces the solver's evolved state from JSON. On
+	// error it must leave the state untouched: Controller.RestoreFrom
+	// relies on that to stay atomic.
 	RestoreState([]byte) error
 }
 
@@ -34,7 +37,7 @@ const ControllerCheckpointVersion = 1
 // cursor, the settled switching-cost anchor, the deficit queue, and (when
 // the plugged solver implements SolverState) the solver's evolved state.
 // Snapshots are taken between slots — after Settle, before the next Step —
-// so there is no pending speculative state to capture.
+// so no half-decided slot needs capturing.
 type ControllerCheckpoint struct {
 	Version    int                      `json:"version"`
 	Slot       int                      `json:"slot"`
@@ -66,7 +69,9 @@ func (c *Controller) Checkpoint() (ControllerCheckpoint, error) {
 // the snapshot — the caller must rebuild the controller with the same
 // construction parameters, then restore; a snapshot carrying solver state
 // for a solver that cannot accept it is an error rather than a silent
-// divergence.
+// divergence. Restore is atomic: the snapshot is validated and decoded in
+// full before any state moves, so a rejected snapshot leaves the
+// controller exactly as it was.
 func (c *Controller) RestoreFrom(ck ControllerCheckpoint) error {
 	if ck.Version != ControllerCheckpointVersion {
 		return fmt.Errorf("core: controller checkpoint version %d, want %d", ck.Version, ControllerCheckpointVersion)
@@ -77,7 +82,8 @@ func (c *Controller) RestoreFrom(ck ControllerCheckpoint) error {
 	if ck.PrevActive < 0 {
 		return fmt.Errorf("core: controller checkpoint prev_active %d is negative", ck.PrevActive)
 	}
-	if err := c.queue.RestoreFrom(ck.Queue); err != nil {
+	queue := *c.queue
+	if err := queue.RestoreFrom(ck.Queue); err != nil {
 		return err
 	}
 	if len(ck.Solver) > 0 {
@@ -85,58 +91,30 @@ func (c *Controller) RestoreFrom(ck ControllerCheckpoint) error {
 		if !ok {
 			return fmt.Errorf("core: checkpoint carries solver state but solver %T cannot restore it", c.Solver)
 		}
+		// The last fallible step: SolverState restores are all-or-nothing,
+		// so a failure here still leaves every piece of state untouched.
 		if err := ss.RestoreState(ck.Solver); err != nil {
 			return err
 		}
 	}
+	*c.queue = queue
+	c.setGauge()
 	c.slot = ck.Slot
 	c.prevActive = ck.PrevActive
-	if c.queueGauge != nil {
-		c.queueGauge.Set(c.queue.Len())
-	}
 	return nil
 }
 
-// PolicyCheckpointVersion is the current PolicyCheckpoint schema version.
-const PolicyCheckpointVersion = 1
+// Checkpoint snapshots the policy's cross-slot state: its deficit queue.
+// The engine's own checkpoint (sim.EngineCheckpoint) carries the clock and
+// the switching anchor. SetV and the queue gauge are configuration, not
+// state, and are left to the caller to re-apply.
+func (p *Policy) Checkpoint() lyapunov.QueueCheckpoint { return p.queue.Checkpoint() }
 
-// PolicyCheckpoint is the versioned snapshot of the sim-engine COCA
-// policy's cross-slot state: the deficit queue and the settled
-// switching-cost anchor. Snapshots are taken at slot boundaries (after
-// Observe), where the speculative pendingActive has been committed, so the
-// anchor alone reproduces the policy's state. Tracing knobs (RecordQueue,
-// SetV, the queue gauge) are configuration, not state, and are left to the
-// caller to re-apply.
-type PolicyCheckpoint struct {
-	Version    int                      `json:"version"`
-	Queue      lyapunov.QueueCheckpoint `json:"queue"`
-	PrevActive int                      `json:"prev_active"`
-}
-
-// Checkpoint snapshots the policy's cross-slot state.
-func (p *Policy) Checkpoint() PolicyCheckpoint {
-	return PolicyCheckpoint{
-		Version:    PolicyCheckpointVersion,
-		Queue:      p.queue.Checkpoint(),
-		PrevActive: p.prevActive,
-	}
-}
-
-// RestoreFrom replaces the policy's cross-slot state with the snapshot.
-func (p *Policy) RestoreFrom(ck PolicyCheckpoint) error {
-	if ck.Version != PolicyCheckpointVersion {
-		return fmt.Errorf("core: policy checkpoint version %d, want %d", ck.Version, PolicyCheckpointVersion)
-	}
-	if ck.PrevActive < 0 {
-		return fmt.Errorf("core: policy checkpoint prev_active %d is negative", ck.PrevActive)
-	}
-	if err := p.queue.RestoreFrom(ck.Queue); err != nil {
+// RestoreFrom replaces the policy's deficit queue with the snapshot.
+func (p *Policy) RestoreFrom(ck lyapunov.QueueCheckpoint) error {
+	if err := p.queue.RestoreFrom(ck); err != nil {
 		return err
 	}
-	p.prevActive = ck.PrevActive
-	p.pendingActive = ck.PrevActive
-	if p.queueGauge != nil {
-		p.queueGauge.Set(p.queue.Len())
-	}
+	p.setGauge()
 	return nil
 }

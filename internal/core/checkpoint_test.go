@@ -10,6 +10,8 @@ import (
 	"repro/internal/dcmodel"
 	"repro/internal/gsd"
 	"repro/internal/lyapunov"
+	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 func ckptCluster(nGroups int) *dcmodel.Cluster {
@@ -140,41 +142,111 @@ func TestControllerCheckpointRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestPolicyCheckpointRoundTrip covers the sim-side policy snapshot; the
-// full engine-resume parity lives in internal/simtest.
-func TestPolicyCheckpointRoundTrip(t *testing.T) {
-	p, err := New(Config{
-		Server: dcmodel.Opteron(), N: 50, Gamma: 0.95, PUE: 1, Beta: 0.02,
-		Schedule: lyapunov.ConstantV(5e5, 1, 24), Alpha: 1, RECPerSlotKWh: 2,
-	})
+// TestControllerRestoreAtomic pins all-or-nothing restore: a snapshot
+// whose queue is valid but whose solver blob is rejected must leave the
+// controller's queue, slot cursor, switching anchor and solver exactly as
+// they were, so the next Step matches an untouched twin's.
+func TestControllerRestoreAtomic(t *testing.T) {
+	c, twin := ckptController(t, 12), ckptController(t, 12)
+	driveController(t, c, 0, 3)
+	driveController(t, twin, 0, 3)
+	ck, err := c.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.queue.Update(100, 10)
-	p.prevActive, p.pendingActive = 7, 7
+	// Every field but the solver blob is valid and differs from c's state.
+	ck.Slot += 2
+	ck.PrevActive++
+	ck.Queue.Q += 7
+	ck.Solver = []byte(`{"version":1,"warm":[-1]}`)
+	if err := c.RestoreFrom(ck); err == nil {
+		t.Fatal("RestoreFrom accepted a negative warm-start speed")
+	}
+	if c.Queue() != twin.Queue() || c.Slot() != twin.Slot() {
+		t.Fatalf("failed restore moved state: queue %v slot %d, want %v slot %d",
+			c.Queue(), c.Slot(), twin.Queue(), twin.Slot())
+	}
+	got := driveController(t, c, 3, 4)
+	want := driveController(t, twin, 3, 4)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("next Step after a failed restore diverges:\ngot  %+v\nwant %+v", got[0], want[0])
+	}
+}
 
-	blob, err := json.Marshal(p.Checkpoint())
+// TestPolicyCheckpointRoundTrip checks the sim-side policy snapshot by
+// behaviour: a run checkpointed at half time (engine and policy, through
+// JSON) and resumed into fresh instances matches the uninterrupted run
+// record for record, with switching cost engaged so the engine-owned
+// anchor matters. The full span/observer resume parity lives in
+// internal/simtest.
+func TestPolicyCheckpointRoundTrip(t *testing.T) {
+	sc, _, err := simtest.Build(simtest.Options{Slots: 48, N: 50, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ck PolicyCheckpoint
-	if err := json.Unmarshal(blob, &ck); err != nil {
-		t.Fatal(err)
+	sc.SwitchCostKWh = 0.231
+	build := func() (*Policy, *sim.Engine) {
+		p, err := New(FromScenario(sc, lyapunov.ConstantV(5e5, 2, 24)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := sim.NewEngine(sc, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, e
 	}
-	q, err := New(Config{
-		Server: dcmodel.Opteron(), N: 50, Gamma: 0.95, PUE: 1, Beta: 0.02,
-		Schedule: lyapunov.ConstantV(5e5, 1, 24), Alpha: 1, RECPerSlotKWh: 2,
-	})
+	stepTo := func(e *sim.Engine, slot int) {
+		for e.Slot() < slot {
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, ref := build()
+	stepTo(ref, sc.Slots)
+
+	// Interrupt inside the first frame, so the queue is non-empty.
+	const half = 20
+	p, e := build()
+	stepTo(e, half)
+	if p.Queue() == 0 {
+		t.Fatal("queue empty at the checkpoint; the round trip would not exercise it")
+	}
+	polBlob, err := json.Marshal(p.Checkpoint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := q.RestoreFrom(ck); err != nil {
+	engBlob, err := json.Marshal(e.Checkpoint())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Queue() != p.Queue() || q.prevActive != 7 || q.pendingActive != 7 {
-		t.Fatalf("restored policy state queue=%v prev=%d pending=%d", q.Queue(), q.prevActive, q.pendingActive)
+	var polCk lyapunov.QueueCheckpoint
+	if err := json.Unmarshal(polBlob, &polCk); err != nil {
+		t.Fatal(err)
 	}
-	if err := q.RestoreFrom(PolicyCheckpoint{Version: 2, Queue: ck.Queue}); err == nil {
+	var engCk sim.EngineCheckpoint
+	if err := json.Unmarshal(engBlob, &engCk); err != nil {
+		t.Fatal(err)
+	}
+	q, resumed := build()
+	if err := q.RestoreFrom(polCk); err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.RestoreFrom(engCk); err != nil {
+		t.Fatal(err)
+	}
+	if q.Queue() != p.Queue() {
+		t.Fatalf("restored queue %v, want %v", q.Queue(), p.Queue())
+	}
+	stepTo(resumed, sc.Slots)
+	if !reflect.DeepEqual(resumed.Result().Records, ref.Result().Records) {
+		t.Fatal("resumed run diverges from the uninterrupted run")
+	}
+
+	bad := polCk
+	bad.Version = 2
+	if err := q.RestoreFrom(bad); err == nil {
 		t.Fatal("RestoreFrom accepted an unknown version")
 	}
 }

@@ -18,12 +18,19 @@
 // homogeneous-fleet year-long runs using the exact symmetric P3 solver, and
 // Controller, the group-level form that works with any p3.Solver — in
 // particular GSD, the paper's distributed solver — for heterogeneous
-// clusters.
+// clusters. Both embed one kernel that owns the shared Algorithm-1 state —
+// V schedule, β and the deficit queue with its gauge — and its
+// bookkeeping: frame reset, V lookup, q(t) → P3 weights, the Eq. (17)
+// update and checkpointing of q. Each entry point keeps its own per-slot
+// solve: Policy picks a server count, Controller a speed vector. Policy
+// takes its switching-cost anchor from the engine (Observation.PrevActive);
+// Controller, which has no engine, owns its slot cursor and anchor.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/dcmodel"
 	"repro/internal/lyapunov"
@@ -65,27 +72,72 @@ type Config struct {
 	MaxDelayCost float64
 }
 
-// Policy is COCA as a sim.Policy over a homogeneous fleet.
-type Policy struct {
-	cfg   Config
+// kernel is the Algorithm-1 bookkeeping both COCA drivers share: the V
+// schedule and β, the carbon-deficit queue q(t) of Eq. (17) and its
+// optional telemetry gauge. Each driver keeps its own per-slot P3 solve.
+type kernel struct {
+	sched lyapunov.VSchedule
+	beta  float64
 	queue *lyapunov.DeficitQueue
+	gauge *telemetry.Gauge
+}
 
-	// prevActive is the switching-cost anchor: the active count of the
-	// last configuration the engine actually operated. Decide only
-	// proposes (pendingActive); the anchor is committed when the engine
-	// confirms the slot through Observe, so a rejected step (cap
-	// violation, overload) followed by a retry cannot desync the policy
-	// from the engine's own previous-active state.
-	prevActive    int
-	pendingActive int
-	vOverride     float64
+// newKernel validates the parameters every COCA driver shares.
+func newKernel(beta float64, sched lyapunov.VSchedule, alpha, recPerSlotKWh float64) (kernel, error) {
+	if !(beta >= 0) || math.IsInf(beta, 1) {
+		return kernel{}, fmt.Errorf("core: beta %v must be finite and non-negative", beta)
+	}
+	if err := sched.Validate(sched.Slots()); err != nil {
+		return kernel{}, err
+	}
+	return kernel{sched: sched, beta: beta, queue: lyapunov.NewDeficitQueue(alpha, recPerSlotKWh)}, nil
+}
 
-	// queueGauge, when set, exports q(t) to the telemetry layer.
-	queueGauge *telemetry.Gauge
+// open starts slot t: at a frame boundary q(t) resets (Algorithm 1 lines
+// 2–4). It returns the frame's V_r.
+func (k *kernel) open(t int) float64 {
+	if k.sched.FrameStart(t) {
+		k.queue.Reset()
+		k.setGauge()
+	}
+	return k.sched.V(t)
+}
 
-	// QueueTrace records q(t) per slot for analysis when enabled.
-	QueueTrace []float64
-	record     bool
+// weights returns q(t) and the Eq. (16) P3 weights at V = v and price w.
+func (k *kernel) weights(v, w float64) (q, we, wd float64) {
+	q = k.queue.Len()
+	we, wd = dcmodel.P3Weights(v, q, w, k.beta)
+	return q, we, wd
+}
+
+// settle applies the Eq. (17) update with the slot's realized grid draw
+// and off-site generation.
+func (k *kernel) settle(gridKWh, offsiteKWh float64) {
+	k.queue.Update(gridKWh, offsiteKWh)
+	k.setGauge()
+}
+
+func (k *kernel) setGauge() {
+	if k.gauge != nil {
+		k.gauge.Set(k.queue.Len())
+	}
+}
+
+// Queue exposes the current deficit-queue length q(t).
+func (k *kernel) Queue() float64 { return k.queue.Len() }
+
+// InstrumentQueue exports the carbon-deficit queue length q(t) through
+// the given telemetry gauge, updated on every frame reset, settle and
+// restore.
+func (k *kernel) InstrumentQueue(g *telemetry.Gauge) { k.gauge = g }
+
+// Policy is COCA as a sim.Policy over a homogeneous fleet. Its only
+// cross-slot state is the kernel's deficit queue: the switching-cost
+// anchor is the engine's, delivered as Observation.PrevActive.
+type Policy struct {
+	kernel
+	cfg       Config
+	vOverride float64
 }
 
 // New builds a COCA policy. The schedule must cover the intended horizon;
@@ -97,16 +149,11 @@ func New(cfg Config) (*Policy, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("core: fleet size %d", cfg.N)
 	}
-	if cfg.Beta < 0 {
-		return nil, fmt.Errorf("core: negative beta")
-	}
-	if err := cfg.Schedule.Validate(cfg.Schedule.Slots()); err != nil {
+	k, err := newKernel(cfg.Beta, cfg.Schedule, cfg.Alpha, cfg.RECPerSlotKWh)
+	if err != nil {
 		return nil, err
 	}
-	return &Policy{
-		cfg:   cfg,
-		queue: lyapunov.NewDeficitQueue(cfg.Alpha, cfg.RECPerSlotKWh),
-	}, nil
+	return &Policy{kernel: k, cfg: cfg}, nil
 }
 
 // FromScenario derives a COCA config from a sim scenario plus a V schedule.
@@ -123,13 +170,6 @@ func FromScenario(sc *sim.Scenario, sched lyapunov.VSchedule) Config {
 	}
 }
 
-// RecordQueue enables per-slot queue-length tracing.
-func (p *Policy) RecordQueue() { p.record = true }
-
-// InstrumentQueue exports the carbon-deficit queue length q(t) through
-// the given telemetry gauge, updated on every frame reset and feedback.
-func (p *Policy) InstrumentQueue(g *telemetry.Gauge) { p.queueGauge = g }
-
 // SetV overrides the schedule's cost-carbon parameter for subsequent slots
 // without touching frame boundaries — used by ablation studies that vary V
 // while keeping (or suppressing) queue resets. Zero restores the schedule.
@@ -138,22 +178,13 @@ func (p *Policy) SetV(v float64) { p.vOverride = v }
 // Name implements sim.Policy.
 func (p *Policy) Name() string { return "coca" }
 
-// Queue exposes the current deficit-queue length q(t).
-func (p *Policy) Queue() float64 { return p.queue.Len() }
-
 // Decide implements sim.Policy: Algorithm 1 lines 2–5.
 func (p *Policy) Decide(obs sim.Observation) (sim.Config, error) {
-	if p.cfg.Schedule.FrameStart(obs.Slot) {
-		p.queue.Reset()
-		if p.queueGauge != nil {
-			p.queueGauge.Set(p.queue.Len())
-		}
-	}
-	v := p.cfg.Schedule.V(obs.Slot)
+	v := p.open(obs.Slot)
 	if p.vOverride > 0 {
 		v = p.vOverride
 	}
-	we, wd := dcmodel.P3Weights(v, p.queue.Len(), obs.PriceUSDPerKWh, p.cfg.Beta)
+	q, we, wd := p.weights(v, obs.PriceUSDPerKWh)
 	hp := &p3.HomogeneousProblem{
 		Type: p.cfg.Server, N: p.cfg.N,
 		Gamma: p.cfg.Gamma, PUE: p.cfg.PUE,
@@ -161,42 +192,24 @@ func (p *Policy) Decide(obs sim.Observation) (sim.Config, error) {
 		We:        we, Wd: wd,
 		OnsiteKW:     obs.OnsiteKW,
 		SwitchWeight: v * obs.PriceUSDPerKWh * p.cfg.SwitchCostKWh,
-		PrevActive:   p.prevActive,
+		PrevActive:   obs.PrevActive,
 		MaxPowerKW:   p.cfg.MaxPowerKW,
 		MaxDelayCost: p.cfg.MaxDelayCost,
 	}
-	if p.cfg.Tariff != nil {
-		q := p.queue.Len()
+	if tariff := p.cfg.Tariff; tariff != nil {
 		w := obs.PriceUSDPerKWh
-		tariff := p.cfg.Tariff
-		hp.GridCostFn = func(g float64) float64 {
-			return v*w*tariff.Cost(g) + q*g
-		}
+		hp.GridCostFn = func(g float64) float64 { return v*w*tariff.Cost(g) + q*g }
 	}
 	sol, err := hp.Solve()
 	if err != nil {
 		return sim.Config{}, err
 	}
-	// Speculate only: the anchor moves when the engine confirms the slot
-	// (Observe). A rejected Step never reaches Observe, so a retried
-	// Decide re-anchors against the configuration actually operated last.
-	p.pendingActive = sol.Active
 	return sim.Config{Speed: sol.Speed, Active: sol.Active}, nil
 }
 
 // Observe implements sim.Policy: the Eq. (17) queue update with the
-// realized grid draw and off-site generation, and the commit point for
-// the switching-cost anchor speculated in Decide.
-func (p *Policy) Observe(fb sim.Feedback) {
-	p.prevActive = p.pendingActive
-	q := p.queue.Update(fb.GridKWh, fb.OffsiteKWh)
-	if p.record {
-		p.QueueTrace = append(p.QueueTrace, q)
-	}
-	if p.queueGauge != nil {
-		p.queueGauge.Set(q)
-	}
-}
+// realized grid draw and off-site generation.
+func (p *Policy) Observe(fb sim.Feedback) { p.settle(fb.GridKWh, fb.OffsiteKWh) }
 
 var _ sim.Policy = (*Policy)(nil)
 
@@ -204,10 +217,9 @@ var _ sim.Policy = (*Policy)(nil)
 // caller supplies any P3 solver (typically gsd.Solver, the paper's
 // distributed algorithm) and feeds environments slot by slot.
 type Controller struct {
-	Cluster  *dcmodel.Cluster
-	Beta     float64
-	Schedule lyapunov.VSchedule
-	Solver   p3.Solver
+	kernel
+	Cluster *dcmodel.Cluster
+	Solver  p3.Solver
 
 	// SlotHours, Tariff and SwitchCostKWh are the Ledger extensions of
 	// the sim path — slot duration, §2.1 nonlinear pricing and the
@@ -218,16 +230,12 @@ type Controller struct {
 	Tariff        dcmodel.Tariff
 	SwitchCostKWh float64
 
-	queue *lyapunov.DeficitQueue
-	slot  int
+	slot int
 
-	// prevActive anchors the switching charge. Like sim's COCA policy it
-	// is committed only when the slot settles (Settle), so a failed or
-	// abandoned Step can be retried without desyncing the anchor.
+	// prevActive anchors the switching charge. It is committed only when
+	// the slot settles (Settle), so a failed or abandoned Step can be
+	// retried without desyncing the anchor.
 	prevActive int
-
-	// queueGauge, when set, exports q(t) to the telemetry layer.
-	queueGauge *telemetry.Gauge
 }
 
 // NewController builds a group-level COCA controller.
@@ -235,16 +243,14 @@ func NewController(cluster *dcmodel.Cluster, beta float64, sched lyapunov.VSched
 	if err := cluster.Validate(); err != nil {
 		return nil, err
 	}
-	if err := sched.Validate(sched.Slots()); err != nil {
-		return nil, err
-	}
 	if solver == nil {
 		return nil, fmt.Errorf("core: nil P3 solver")
 	}
-	return &Controller{
-		Cluster: cluster, Beta: beta, Schedule: sched, Solver: solver,
-		queue: lyapunov.NewDeficitQueue(alpha, recPerSlotKWh),
-	}, nil
+	k, err := newKernel(beta, sched, alpha, recPerSlotKWh)
+	if err != nil {
+		return nil, err
+	}
+	return &Controller{kernel: k, Cluster: cluster, Solver: solver}, nil
 }
 
 // SlotEnv is one slot's environment for the controller.
@@ -269,21 +275,13 @@ type SlotOutcome struct {
 // a Step that is never settled (rejected by the caller, retried after a
 // failure) leaves the controller's state untouched.
 func (c *Controller) Step(env SlotEnv) (SlotOutcome, error) {
-	if c.slot >= c.Schedule.Slots() {
+	if c.slot >= c.sched.Slots() {
 		// A long-running controller must outlive its schedule gracefully:
 		// indexing V past the horizon would panic inside VSchedule.
 		return SlotOutcome{}, fmt.Errorf("core: slot %d beyond the schedule horizon %d: %w",
-			c.slot, c.Schedule.Slots(), ErrScheduleExhausted)
+			c.slot, c.sched.Slots(), ErrScheduleExhausted)
 	}
-	if c.Schedule.FrameStart(c.slot) {
-		c.queue.Reset()
-		if c.queueGauge != nil {
-			c.queueGauge.Set(c.queue.Len())
-		}
-	}
-	v := c.Schedule.V(c.slot)
-	q := c.queue.Len()
-	we, wd := dcmodel.P3Weights(v, q, env.PriceUSDPerKWh, c.Beta)
+	q, we, wd := c.weights(c.open(c.slot), env.PriceUSDPerKWh)
 	prob := &dcmodel.SlotProblem{
 		Cluster:   c.Cluster,
 		LambdaRPS: env.LambdaRPS,
@@ -302,7 +300,7 @@ func (c *Controller) Step(env SlotEnv) (SlotOutcome, error) {
 	cost := c.Cluster.CostWithSwitching(dcmodel.CostParams{
 		PriceUSDPerKWh: env.PriceUSDPerKWh,
 		OnsiteKW:       env.OnsiteKW,
-		Beta:           c.Beta,
+		Beta:           c.beta,
 		SlotHours:      c.SlotHours,
 		Tariff:         c.Tariff,
 		SwitchCostKWh:  c.SwitchCostKWh,
@@ -313,22 +311,12 @@ func (c *Controller) Step(env SlotEnv) (SlotOutcome, error) {
 // Settle finishes the slot with the realized off-site generation: the
 // Eq. (17) queue update, the switching-anchor commit, and the clock
 // advance. Only settled outcomes move controller state — the same
-// feedback-driven commit discipline as the sim policy's Observe.
+// commit-on-settle discipline as the sim engine's.
 func (c *Controller) Settle(out SlotOutcome, offsiteKWh float64) {
-	q := c.queue.Update(out.Cost.GridKWh, offsiteKWh)
-	if c.queueGauge != nil {
-		c.queueGauge.Set(q)
-	}
+	c.settle(out.Cost.GridKWh, offsiteKWh)
 	c.prevActive = out.Active
 	c.slot++
 }
-
-// Queue exposes the deficit-queue length.
-func (c *Controller) Queue() float64 { return c.queue.Len() }
-
-// InstrumentQueue exports the carbon-deficit queue length q(t) through
-// the given telemetry gauge, updated on every frame reset and Settle.
-func (c *Controller) InstrumentQueue(g *telemetry.Gauge) { c.queueGauge = g }
 
 // Slot returns the next slot index to be stepped.
 func (c *Controller) Slot() int { return c.slot }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/p3"
 	"repro/internal/sim"
 	"repro/internal/simtest"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -86,40 +87,45 @@ func TestQueueFeedbackThrottlesUsage(t *testing.T) {
 	}
 }
 
-func TestFrameResetClearsQueue(t *testing.T) {
-	sc := buildScenario(t, 48)
-	sched := lyapunov.VSchedule{T: 24, Vs: []float64{100, 100}}
+// queueTrace runs COCA over the scenario and records q(t) — the value
+// priced into slot t — through the InstrumentQueue gauge, read by a
+// sim.Observer as each slot settles.
+func queueTrace(t *testing.T, sc *sim.Scenario, sched lyapunov.VSchedule) []float64 {
+	t.Helper()
 	p, err := New(FromScenario(sc, sched))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.RecordQueue()
-	if _, err := sim.Run(sc, p); err != nil {
+	g := telemetry.NewRegistry().Gauge("coca_queue_kwh")
+	p.InstrumentQueue(g)
+	var trace []float64
+	if _, err := sim.RunObserved(sc, p, func(sim.SlotRecord) { trace = append(trace, g.Value()) }); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.QueueTrace) != 48 {
-		t.Fatalf("queue trace length %d", len(p.QueueTrace))
+	return trace
+}
+
+func TestFrameResetClearsQueue(t *testing.T) {
+	sc := buildScenario(t, 48)
+	q := queueTrace(t, sc, lyapunov.VSchedule{T: 24, Vs: []float64{100, 100}})
+	if len(q) != 48 {
+		t.Fatalf("queue trace length %d", len(q))
 	}
-	// Decide at slot 24 resets before solving; the queue value recorded at
-	// slot 24 equals the first post-reset update, which must not exceed one
-	// slot's worth of deficit.
+	// Decide at slot 24 resets before solving, so slot 24 is priced at an
+	// empty queue and slot 25 at the first post-reset update, which must
+	// not exceed one slot's worth of deficit.
+	if q[24] != 0 {
+		t.Errorf("queue at frame start = %v, want 0", q[24])
+	}
 	maxOneSlot := sc.Capacity() // generous bound: one slot of peak power kWh
-	if p.QueueTrace[24] > maxOneSlot {
-		t.Errorf("queue after frame reset = %v, too large", p.QueueTrace[24])
+	if q[25] > maxOneSlot {
+		t.Errorf("queue after frame reset = %v, too large", q[25])
 	}
 }
 
 func TestQueueTraceNonNegative(t *testing.T) {
 	sc := buildScenario(t, 72)
-	p, err := New(FromScenario(sc, lyapunov.ConstantV(500, 1, 72)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.RecordQueue()
-	if _, err := sim.Run(sc, p); err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range p.QueueTrace {
+	for i, q := range queueTrace(t, sc, lyapunov.ConstantV(500, 1, 72)) {
 		if q < 0 || math.IsNaN(q) {
 			t.Fatalf("q[%d] = %v", i, q)
 		}

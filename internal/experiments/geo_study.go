@@ -36,7 +36,7 @@ func GeoStudy(cfg Config) (GeoResult, error) {
 	if perSiteN < 50 {
 		perSiteN = 50
 	}
-	mkSite := func(name string, priceScale, onsiteKW, budgetPerSlot float64, seed uint64) geo.Site {
+	mkSite := func(name string, priceScale, onsiteKW, budgetPerSlot float64, seed uint64) geo.FleetSite {
 		p := price.CAISOYear(seed)
 		for i := range p.Values {
 			p.Values[i] *= priceScale
@@ -48,10 +48,10 @@ func GeoStudy(cfg Config) (GeoResult, error) {
 		for i := range onsite.Values {
 			onsite.Values[i] *= onsiteKW
 		}
-		return geo.Site{
-			Name: name, Server: dcmodel.Opteron(), N: perSiteN,
-			Gamma: 0.95, PUE: 1,
-			Price: p,
+		return geo.FleetSite{
+			Name:    name,
+			Cluster: &dcmodel.Cluster{Groups: []dcmodel.Group{{Type: dcmodel.Opteron(), N: perSiteN}}, Gamma: 0.95, PUE: 1},
+			Price:   p,
 			Portfolio: &renewable.Portfolio{
 				OnsiteKW:   onsite,
 				OffsiteKWh: trace.Constant("f", budgetPerSlot*0.4, slots),
@@ -63,7 +63,7 @@ func GeoStudy(cfg Config) (GeoResult, error) {
 	// Per-slot budgets sized around a site's typical draw at one third of
 	// the global load (≈ perSiteN/3 active servers ≈ 0.06·perSiteN kWh).
 	typical := 0.06 * float64(perSiteN)
-	sites := []geo.Site{
+	sites := []geo.FleetSite{
 		mkSite("hydro-north", 0.6, typical*0.5, typical*1.2, cfg.Seed+10), // cheap, green
 		mkSite("metro-east", 1.3, typical*0.1, typical*0.9, cfg.Seed+20),  // expensive, tight budget
 		mkSite("desert-west", 0.9, typical*0.8, typical*1.0, cfg.Seed+30), // solar-rich
@@ -158,8 +158,8 @@ func GeoStudy(cfg Config) (GeoResult, error) {
 
 // cloneSites deep-copies site portfolios so two runs cannot share queues
 // or mutate each other's traces.
-func cloneSites(sites []geo.Site) []geo.Site {
-	out := make([]geo.Site, len(sites))
+func cloneSites(sites []geo.FleetSite) []geo.FleetSite {
+	out := make([]geo.FleetSite, len(sites))
 	for i, s := range sites {
 		out[i] = s
 		p := *s.Portfolio

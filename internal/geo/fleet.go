@@ -1,18 +1,12 @@
 package geo
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"repro/internal/cliutil"
 	"repro/internal/dcmodel"
 	"repro/internal/gsd"
-	"repro/internal/lyapunov"
-	"repro/internal/renewable"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
-	"repro/internal/workpool"
 )
 
 // This file is the fleet-scale federation: System models every site as a
@@ -31,48 +25,11 @@ import (
 //     count — including the sequential 0/1 path — therefore produces
 //     bit-identical outcomes, which the golden parity tests pin.
 
-// FleetSite is one data center of a Fleet: a heterogeneous cluster under
-// its own electricity price, renewable portfolio and carbon-deficit queue.
-type FleetSite struct {
-	Name      string
-	Cluster   *dcmodel.Cluster
-	Price     *trace.Trace         // w_k(t) in $/kWh
-	Portfolio *renewable.Portfolio // r_k(t), f_k(t), Z_k, α_k
-}
-
-// Validate reports whether the site is well formed for the horizon.
-func (s *FleetSite) Validate(slots int) error {
-	if s.Cluster == nil {
-		return fmt.Errorf("geo: fleet site %q has no cluster", s.Name)
-	}
-	if err := s.Cluster.Validate(); err != nil {
-		return fmt.Errorf("geo: fleet site %q: %w", s.Name, err)
-	}
-	if s.Price == nil || s.Price.Len() < slots {
-		return fmt.Errorf("geo: fleet site %q price trace short", s.Name)
-	}
-	if s.Portfolio == nil {
-		return fmt.Errorf("geo: fleet site %q missing portfolio", s.Name)
-	}
-	return s.Portfolio.Validate(slots)
-}
-
-// CapacityRPS returns the site's γ-discounted top-speed capacity.
-func (s *FleetSite) CapacityRPS() float64 {
-	return s.Cluster.Gamma * s.Cluster.MaxCapacityRPS()
-}
-
 // Fleet is a federation of heterogeneous-cluster sites, each running its
 // own GSD solver chain, stepped slot by slot like System.
 type Fleet struct {
-	Sites []FleetSite
-	Beta  float64
-	Slots int
-
-	queues  []*lyapunov.DeficitQueue
+	federation
 	solvers []*gsd.Solver // per-site shard: own advancing seed + warm starts
-	slot    int
-	workers int
 
 	// Per-slot scratch reused across Step calls: site problem instances
 	// (each handed to the pooled per-site solver, which never reads one
@@ -105,41 +62,17 @@ const fleetSeedStride = 0x9E3779B97F4A7C15
 // base seed the per-site chains are derived from. One carbon-deficit queue
 // per site, exactly like NewSystem.
 func NewFleet(sites []FleetSite, beta float64, slots int, opts gsd.Options) (*Fleet, error) {
-	if len(sites) == 0 {
-		return nil, errors.New("geo: no sites")
+	fed, err := newFederation("geo.Fleet", sites, beta, slots, (*FleetSite).CapacityRPS)
+	if err != nil {
+		return nil, err
 	}
-	if beta < 0 {
-		return nil, errors.New("geo: negative beta")
-	}
-	if slots <= 0 {
-		return nil, errors.New("geo: non-positive horizon")
-	}
-	f := &Fleet{Sites: sites, Beta: beta, Slots: slots}
+	f := &Fleet{federation: fed}
 	for i := range sites {
-		if err := sites[i].Validate(slots); err != nil {
-			return nil, err
-		}
-		f.queues = append(f.queues, lyapunov.NewDeficitQueue(
-			sites[i].Portfolio.Alpha,
-			sites[i].Portfolio.RECPerSlotKWh(slots),
-		))
 		siteOpts := opts
 		siteOpts.Seed = opts.Seed + uint64(i+1)*fleetSeedStride
 		f.solvers = append(f.solvers, &gsd.Solver{Opts: siteOpts})
 	}
 	return f, nil
-}
-
-// SetWorkers bounds Step's whole-site solve fan-out. n in {0, 1} (the
-// default) runs sites sequentially; n > 1 fans them across up to n
-// goroutines with bit-identical results (see the design rules above).
-// Negative n is an explicit error, the cliutil.WorkersFor rule.
-func (f *Fleet) SetWorkers(n int) error {
-	if err := cliutil.WorkersFor("geo.Fleet.SetWorkers", n); err != nil {
-		return err
-	}
-	f.workers = n
-	return nil
 }
 
 // Instrument attaches fleet metrics (nil detaches). Per-site label
@@ -167,30 +100,6 @@ func (f *Fleet) Instrument(m *telemetry.FleetMetrics) {
 	}
 }
 
-// TotalCapacityRPS returns the fleet's aggregate γ-discounted capacity.
-func (f *Fleet) TotalCapacityRPS() float64 {
-	var c float64
-	for i := range f.Sites {
-		c += f.Sites[i].CapacityRPS()
-	}
-	return c
-}
-
-// TotalServers returns the number of servers across the fleet.
-func (f *Fleet) TotalServers() int {
-	n := 0
-	for i := range f.Sites {
-		n += f.Sites[i].Cluster.TotalServers()
-	}
-	return n
-}
-
-// Queue exposes site k's deficit-queue length.
-func (f *Fleet) Queue(k int) float64 { return f.queues[k].Len() }
-
-// Slot returns the next slot to be stepped.
-func (f *Fleet) Slot() int { return f.slot }
-
 // FleetSiteOutcome is one site's share of a stepped fleet slot.
 type FleetSiteOutcome struct {
 	LoadRPS   float64
@@ -207,21 +116,6 @@ type FleetStepOutcome struct {
 	Sites        []FleetSiteOutcome
 	TotalCostUSD float64
 	TotalGridKWh float64
-}
-
-// validateLoad mirrors System.validateLoad for the fleet.
-func (f *Fleet) validateLoad(lambda float64) error {
-	if f.slot >= f.Slots {
-		return errors.New("geo: horizon exhausted")
-	}
-	if lambda < 0 {
-		return errors.New("geo: negative load")
-	}
-	if lambda > f.TotalCapacityRPS() {
-		return fmt.Errorf("geo: load %v exceeds fleet capacity %v",
-			lambda, f.TotalCapacityRPS())
-	}
-	return nil
 }
 
 // siteProblem builds site k's heterogeneous P3 instance for the slot at
@@ -243,20 +137,6 @@ func (f *Fleet) siteProblem(k int, v, mu float64) *dcmodel.SlotProblem {
 	return p
 }
 
-// siteLedger builds site k's slot-cost kernel for the current slot,
-// identical to System.siteLedger.
-func (f *Fleet) siteLedger(k int) dcmodel.Ledger {
-	site := &f.Sites[k]
-	t := f.slot
-	return dcmodel.Ledger{
-		PriceUSDPerKWh: site.Price.Values[t],
-		OnsiteKW:       site.Portfolio.OnsiteKW.Values[t],
-		Beta:           f.Beta,
-		Alpha:          site.Portfolio.Alpha,
-		RECPerSlotKWh:  site.Portfolio.RECPerSlotKWh(f.Slots),
-	}
-}
-
 // Step splits lambda across the sites proportionally to capacity, solves
 // every loaded site's whole-cluster P3 on its own GSD shard (fanned across
 // the SetWorkers pool), charges each site through its Ledger, and returns
@@ -276,51 +156,42 @@ func (f *Fleet) Step(lambda, v float64) (FleetStepOutcome, error) {
 		stepStart = time.Now()
 	}
 	k := len(f.Sites)
-	total := f.TotalCapacityRPS()
 	out := FleetStepOutcome{Sites: make([]FleetSiteOutcome, k)}
 	if f.probs == nil {
 		f.probs = make([]dcmodel.SlotProblem, k)
 		f.errs = make([]error, k)
 	}
-	errs := f.errs
-	for i := range errs {
-		errs[i] = nil
-	}
-	workpool.Fan(f.workers, k, func(i int) {
-		mu := 0.0
-		if lambda > 0 {
-			mu = lambda * f.Sites[i].CapacityRPS() / total
+	err := f.fanProportional(lambda, f.errs, func(i int, mu float64) error {
+		so := &out.Sites[i]
+		so.LoadRPS = mu
+		if mu <= 0 {
+			return nil
 		}
-		so := FleetSiteOutcome{LoadRPS: mu}
-		if mu > 0 {
-			p := f.siteProblem(i, v, mu)
-			sol, err := f.solvers[i].Solve(p)
-			if err != nil {
-				errs[i] = fmt.Errorf("geo: fleet site %s: %w", f.Sites[i].Name, err)
-				return
-			}
-			cl := f.Sites[i].Cluster
-			so.Active = cl.ActiveServers(sol.Speeds)
-			so.Value = sol.Value
-			ch := f.siteLedger(i).Charge(
-				cl.FacilityPowerKW(sol.Speeds, sol.Load),
-				cl.DelayCost(sol.Speeds, sol.Load), 0)
-			so.PowerKW, so.GridKWh, so.DelayCost = ch.PowerKW, ch.GridKWh, ch.DelayCost
-			so.CostUSD = ch.TotalUSD
+		sol, err := f.solvers[i].Solve(f.siteProblem(i, v, mu))
+		if err != nil {
+			return fmt.Errorf("geo: fleet site %s: %w", f.Sites[i].Name, err)
 		}
-		out.Sites[i] = so
+		cl := f.Sites[i].Cluster
+		so.Active = cl.ActiveServers(sol.Speeds)
+		so.Value = sol.Value
+		ch := f.siteLedger(i).Charge(
+			cl.FacilityPowerKW(sol.Speeds, sol.Load),
+			cl.DelayCost(sol.Speeds, sol.Load), 0)
+		so.PowerKW, so.GridKWh, so.DelayCost = ch.PowerKW, ch.GridKWh, ch.DelayCost
+		so.CostUSD = ch.TotalUSD
+		return nil
 	})
-	for i := 0; i < k; i++ {
-		if errs[i] != nil {
-			if f.metrics != nil {
-				for j := i; j < k; j++ {
-					if errs[j] != nil {
-						f.siteInstr[j].SolveErrors.Inc()
-					}
+	if err != nil {
+		if f.metrics != nil {
+			for i, e := range f.errs {
+				if e != nil {
+					f.siteInstr[i].SolveErrors.Inc()
 				}
 			}
-			return FleetStepOutcome{}, errs[i]
 		}
+		return FleetStepOutcome{}, err
+	}
+	for i := range out.Sites {
 		out.TotalCostUSD += out.Sites[i].CostUSD
 		out.TotalGridKWh += out.Sites[i].GridKWh
 	}
@@ -339,15 +210,14 @@ func (f *Fleet) Step(lambda, v float64) (FleetStepOutcome, error) {
 // Settle finishes the slot: every site's deficit queue absorbs its realized
 // grid draw against its own off-site generation, and the clock advances.
 func (f *Fleet) Settle(out FleetStepOutcome) {
-	t := f.slot
 	for i := range f.Sites {
-		f.queues[i].Update(out.Sites[i].GridKWh, f.Sites[i].Portfolio.OffsiteKWh.Values[t])
+		q := f.settleSite(i, out.Sites[i].GridKWh)
 		if f.metrics != nil {
-			f.siteInstr[i].DeficitKWh.Set(f.queues[i].Len())
+			f.siteInstr[i].DeficitKWh.Set(q)
 		}
 	}
 	if f.settleOb != nil {
-		f.settleOb(t, out)
+		f.settleOb(f.slot, out)
 	}
 	f.slot++
 }

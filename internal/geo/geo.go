@@ -16,70 +16,23 @@ package geo
 import (
 	"errors"
 	"fmt"
-	"math"
 
-	"repro/internal/cliutil"
 	"repro/internal/dcmodel"
-	"repro/internal/lyapunov"
 	"repro/internal/p3"
-	"repro/internal/renewable"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/span"
-	"repro/internal/trace"
 )
 
-// Site is one data center in the federation.
-type Site struct {
-	Name   string
-	Server dcmodel.ServerType
-	N      int
-	Gamma  float64
-	PUE    float64
-
-	Price     *trace.Trace         // w_k(t) in $/kWh
-	Portfolio *renewable.Portfolio // r_k(t), f_k(t), Z_k, α_k
-}
-
-// Validate reports whether the site is well formed for the horizon.
-func (s *Site) Validate(slots int) error {
-	if err := s.Server.Validate(); err != nil {
-		return err
-	}
-	if s.N <= 0 {
-		return fmt.Errorf("geo: site %q fleet %d", s.Name, s.N)
-	}
-	if s.Gamma <= 0 || s.Gamma >= 1 {
-		return fmt.Errorf("geo: site %q gamma %v", s.Name, s.Gamma)
-	}
-	if s.PUE < 1 {
-		return fmt.Errorf("geo: site %q PUE %v", s.Name, s.PUE)
-	}
-	if s.Price == nil || s.Price.Len() < slots {
-		return fmt.Errorf("geo: site %q price trace short", s.Name)
-	}
-	if s.Portfolio == nil {
-		return fmt.Errorf("geo: site %q missing portfolio", s.Name)
-	}
-	return s.Portfolio.Validate(slots)
-}
-
-// CapacityRPS returns the site's γ-discounted top-speed capacity.
-func (s *Site) CapacityRPS() float64 {
-	return s.Gamma * float64(s.N) * s.Server.MaxRate()
-}
-
-// System is a federation of sites under one global workload.
+// System is a federation of single-server-type sites under one global
+// workload: each site's P3 is solved in closed form
+// (p3.HomogeneousProblem), and the split is greedy-marginal (Step) or
+// capacity-proportional (ProportionalSplit). Sites, Beta and Slots, the
+// per-site deficit queues and the clock live in the federation core it
+// shares with Fleet.
 type System struct {
-	Sites []Site
-	Beta  float64
-	Slots int
-
-	queues  []*lyapunov.DeficitQueue
-	slot    int
+	federation
 	tracer  *span.Tracer
 	metrics *telemetry.GeoMetrics
-	// splitWorkers bounds the split evaluator's fan-out; see SetWorkers.
-	splitWorkers int
 }
 
 // SetTracer attaches a span tracer: every subsequent Step records a
@@ -95,71 +48,30 @@ func (sys *System) SetTracer(tr *span.Tracer) { sys.tracer = tr }
 // instrumentation.
 func (sys *System) Instrument(m *telemetry.GeoMetrics) { sys.metrics = m }
 
-// SetWorkers bounds the split evaluator's fan-out: n > 1 evaluates P3
-// candidates (and ProportionalSplit's per-site solves) on up to n
-// goroutines with a deterministic lowest-index argmin/error reduction, so
-// results are bit-identical to the sequential path whatever the
-// scheduling. n in {0, 1} stays sequential — unlike
-// experiments.Config.Workers, zero does NOT mean all cores, because geo
-// systems are routinely stepped inside already-pooled experiment workers
-// and must not oversubscribe by default. Negative n is an explicit error
-// (the rule cliutil.WorkersFor enforces across the repository; negatives
-// used to be silently accepted as sequential here).
-func (sys *System) SetWorkers(n int) error {
-	if err := cliutil.WorkersFor("geo.System.SetWorkers", n); err != nil {
-		return err
-	}
-	sys.splitWorkers = n
-	return nil
-}
-
-// workers resolves the effective split fan-out.
-func (sys *System) workers() int {
-	if sys.splitWorkers > 1 {
-		return sys.splitWorkers
-	}
-	return 1
-}
-
 // NewSystem validates and assembles the federation, creating one
-// carbon-deficit queue per site.
-func NewSystem(sites []Site, beta float64, slots int) (*System, error) {
-	if len(sites) == 0 {
-		return nil, errors.New("geo: no sites")
-	}
-	if beta < 0 {
-		return nil, errors.New("geo: negative beta")
-	}
-	if slots <= 0 {
-		return nil, errors.New("geo: non-positive horizon")
-	}
-	sys := &System{Sites: sites, Beta: beta, Slots: slots}
+// carbon-deficit queue per site. Every site's cluster must be a single
+// server group: System solves each site's P3 in closed form over one
+// server type.
+func NewSystem(sites []FleetSite, beta float64, slots int) (*System, error) {
 	for i := range sites {
-		if err := sites[i].Validate(slots); err != nil {
-			return nil, err
+		if cl := sites[i].Cluster; cl != nil && len(cl.Groups) > 1 {
+			return nil, fmt.Errorf("geo: site %q has %d server groups; a System site runs a single server type",
+				sites[i].Name, len(cl.Groups))
 		}
-		sys.queues = append(sys.queues, lyapunov.NewDeficitQueue(
-			sites[i].Portfolio.Alpha,
-			sites[i].Portfolio.RECPerSlotKWh(slots),
-		))
 	}
-	return sys, nil
+	fed, err := newFederation("geo.System", sites, beta, slots, homogeneousCapacityRPS)
+	if err != nil {
+		return nil, err
+	}
+	return &System{federation: fed}, nil
 }
 
-// TotalCapacityRPS returns the federation's aggregate capacity.
-func (sys *System) TotalCapacityRPS() float64 {
-	var c float64
-	for i := range sys.Sites {
-		c += sys.Sites[i].CapacityRPS()
-	}
-	return c
+// homogeneousCapacityRPS is a single-group site's γ-discounted top-speed
+// capacity, multiplied in the order γ·N·x the closed-form P3 uses.
+func homogeneousCapacityRPS(s *FleetSite) float64 {
+	g := &s.Cluster.Groups[0]
+	return s.Cluster.Gamma * float64(g.N) * g.Type.MaxRate()
 }
-
-// Queue exposes site k's deficit-queue length.
-func (sys *System) Queue(k int) float64 { return sys.queues[k].Len() }
-
-// Slot returns the next slot to be stepped.
-func (sys *System) Slot() int { return sys.slot }
 
 // SiteOutcome is one site's share of a stepped slot.
 type SiteOutcome struct {
@@ -182,63 +94,16 @@ type StepOutcome struct {
 // siteProblem builds site k's P3 instance for the slot at load mu.
 func (sys *System) siteProblem(k int, v, mu float64) *p3.HomogeneousProblem {
 	site := &sys.Sites[k]
+	g := &site.Cluster.Groups[0]
 	t := sys.slot
 	we, wd := dcmodel.P3Weights(v, sys.queues[k].Len(), site.Price.Values[t], sys.Beta)
 	return &p3.HomogeneousProblem{
-		Type: site.Server, N: site.N,
-		Gamma: site.Gamma, PUE: site.PUE,
+		Type: g.Type, N: g.N,
+		Gamma: site.Cluster.Gamma, PUE: site.Cluster.PUE,
 		LambdaRPS: mu,
 		We:        we, Wd: wd,
 		OnsiteKW: site.Portfolio.OnsiteKW.Values[t],
 	}
-}
-
-// siteLedger builds site k's slot-cost kernel for the current slot. All
-// site charging goes through it, so geo shares the exact accounting of
-// internal/sim and internal/core.
-func (sys *System) siteLedger(k int) dcmodel.Ledger {
-	site := &sys.Sites[k]
-	t := sys.slot
-	return dcmodel.Ledger{
-		PriceUSDPerKWh: site.Price.Values[t],
-		OnsiteKW:       site.Portfolio.OnsiteKW.Values[t],
-		Beta:           sys.Beta,
-		Alpha:          site.Portfolio.Alpha,
-		RECPerSlotKWh:  site.Portfolio.RECPerSlotKWh(sys.Slots),
-	}
-}
-
-// siteValue returns site k's P3 optimum value at load mu (+Inf when the
-// site cannot carry mu). Only the naive reference loop uses it; the hot
-// path goes through evalSite, which additionally separates real solver
-// errors from capacity infeasibility.
-func (sys *System) siteValue(k int, v, mu float64) float64 {
-	if mu == 0 {
-		// An empty site powers down: zero P3 value.
-		return 0
-	}
-	sol, err := sys.siteProblem(k, v, mu).Solve()
-	if err != nil {
-		return math.Inf(1)
-	}
-	return sol.Value
-}
-
-// validateLoad guards the shared Step/ProportionalSplit preconditions:
-// horizon not exhausted, non-negative load, load within the federation's
-// aggregate capacity.
-func (sys *System) validateLoad(lambda float64) error {
-	if sys.slot >= sys.Slots {
-		return errors.New("geo: horizon exhausted")
-	}
-	if lambda < 0 {
-		return errors.New("geo: negative load")
-	}
-	if lambda > sys.TotalCapacityRPS() {
-		return fmt.Errorf("geo: load %v exceeds federation capacity %v",
-			lambda, sys.TotalCapacityRPS())
-	}
-	return nil
 }
 
 // Chunks is the load-split granularity of Step: the slot's arrivals are
@@ -263,7 +128,7 @@ func (sys *System) Step(lambda float64, v float64) (StepOutcome, error) {
 	stepSpan := sys.tracer.StartRoot("geo.step",
 		span.Int("slot", sys.slot), span.Float("lambda_rps", lambda),
 		span.Float("v", v), span.Int("sites", k),
-		span.Int("workers", sys.workers()))
+		span.Int("workers", max(sys.workers, 1)))
 	defer stepSpan.End()
 	plan, err := sys.greedySplit(lambda, v)
 	if err != nil {
@@ -289,12 +154,8 @@ func (sys *System) Step(lambda float64, v float64) (StepOutcome, error) {
 		if plan.split[i] > 0 {
 			// The site's last winning candidate was solved at exactly this
 			// load: reuse it instead of the naive loop's final re-solve.
-			sol := plan.sols[i]
+			so = sys.operate(i, plan.split[i], plan.sols[i])
 			plan.memoHits++
-			so.Speed, so.Active = sol.Speed, sol.Active
-			ch := sys.siteLedger(i).Charge(sol.PowerKW, sol.DelayCost, 0)
-			so.PowerKW, so.GridKWh, so.DelayCost = ch.PowerKW, ch.GridKWh, ch.DelayCost
-			so.CostUSD = ch.TotalUSD
 		}
 		if siteSpan != nil {
 			siteSpan.Set(
@@ -323,10 +184,8 @@ func (sys *System) Step(lambda float64, v float64) (StepOutcome, error) {
 // realized grid draw against its own off-site generation, and the clock
 // advances.
 func (sys *System) Settle(out StepOutcome) {
-	t := sys.slot
 	for i := range sys.Sites {
-		sys.queues[i].Update(out.Sites[i].GridKWh, sys.Sites[i].Portfolio.OffsiteKWh.Values[t])
-		sys.metrics.SetDeficit(sys.Sites[i].Name, sys.queues[i].Len())
+		sys.metrics.SetDeficit(sys.Sites[i].Name, sys.settleSite(i, out.Sites[i].GridKWh))
 	}
 	sys.slot++
 }
@@ -342,32 +201,35 @@ func (sys *System) ProportionalSplit(lambda float64, v float64) (StepOutcome, er
 	if err := sys.validateLoad(lambda); err != nil {
 		return StepOutcome{}, err
 	}
-	total := sys.TotalCapacityRPS()
-	k := len(sys.Sites)
-	out := StepOutcome{Sites: make([]SiteOutcome, k)}
-	errs := make([]error, k)
-	fanEval(sys.workers(), k, func(i int) {
-		mu := lambda * sys.Sites[i].CapacityRPS() / total
-		so := SiteOutcome{LoadRPS: mu}
-		if mu > 0 {
-			sol, err := sys.siteProblem(i, v, mu).Solve()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			so.Speed, so.Active = sol.Speed, sol.Active
-			ch := sys.siteLedger(i).Charge(sol.PowerKW, sol.DelayCost, 0)
-			so.PowerKW, so.GridKWh, so.DelayCost = ch.PowerKW, ch.GridKWh, ch.DelayCost
-			so.CostUSD = ch.TotalUSD
+	out := StepOutcome{Sites: make([]SiteOutcome, len(sys.Sites))}
+	err := sys.fanProportional(lambda, make([]error, len(sys.Sites)), func(i int, mu float64) error {
+		out.Sites[i].LoadRPS = mu
+		if mu <= 0 {
+			return nil
 		}
-		out.Sites[i] = so
+		sol, err := sys.siteProblem(i, v, mu).Solve()
+		if err != nil {
+			return err
+		}
+		out.Sites[i] = sys.operate(i, mu, sol)
+		return nil
 	})
-	for i := 0; i < k; i++ {
-		if errs[i] != nil {
-			return StepOutcome{}, errs[i]
-		}
-		out.TotalCostUSD += out.Sites[i].CostUSD
-		out.TotalGridKWh += out.Sites[i].GridKWh
+	if err != nil {
+		return StepOutcome{}, err
+	}
+	for _, so := range out.Sites {
+		out.TotalCostUSD += so.CostUSD
+		out.TotalGridKWh += so.GridKWh
 	}
 	return out, nil
+}
+
+// operate charges site k's solved configuration at load mu through the
+// site's Ledger.
+func (sys *System) operate(k int, mu float64, sol p3.HomogeneousSolution) SiteOutcome {
+	ch := sys.siteLedger(k).Charge(sol.PowerKW, sol.DelayCost, 0)
+	return SiteOutcome{
+		LoadRPS: mu, Speed: sol.Speed, Active: sol.Active,
+		PowerKW: ch.PowerKW, GridKWh: ch.GridKWh, DelayCost: ch.DelayCost, CostUSD: ch.TotalUSD,
+	}
 }

@@ -5,26 +5,30 @@ import (
 	"testing"
 
 	"repro/internal/dcmodel"
+	"repro/internal/gsd"
 	"repro/internal/price"
 	"repro/internal/renewable"
 	"repro/internal/trace"
 )
 
+// opteronCluster is a single-group Opteron cluster of n servers, the
+// shape a System site runs.
+func opteronCluster(n int) *dcmodel.Cluster {
+	return &dcmodel.Cluster{Groups: []dcmodel.Group{{Type: dcmodel.Opteron(), N: n}}, Gamma: 0.95, PUE: 1}
+}
+
 // makeSites builds a small two-site federation with asymmetric prices:
 // site "cheap" pays a third of site "dear".
-func makeSites(slots int) []Site {
-	mk := func(name string, priceScale float64, n int, seed uint64) Site {
+func makeSites(slots int) []FleetSite {
+	mk := func(name string, priceScale float64, n int, seed uint64) FleetSite {
 		p := price.CAISOYear(seed)
 		for i := range p.Values {
 			p.Values[i] *= priceScale
 		}
-		return Site{
-			Name:   name,
-			Server: dcmodel.Opteron(),
-			N:      n,
-			Gamma:  0.95,
-			PUE:    1,
-			Price:  p,
+		return FleetSite{
+			Name:    name,
+			Cluster: opteronCluster(n),
+			Price:   p,
 			Portfolio: &renewable.Portfolio{
 				OnsiteKW:   trace.Constant("r", 1, slots),
 				OffsiteKWh: trace.Constant("f", 2, slots),
@@ -33,7 +37,7 @@ func makeSites(slots int) []Site {
 			},
 		}
 	}
-	return []Site{
+	return []FleetSite{
 		mk("cheap", 0.4, 100, 1),
 		mk("dear", 1.2, 100, 2),
 	}
@@ -55,9 +59,17 @@ func TestNewSystemValidation(t *testing.T) {
 		t.Error("zero horizon accepted")
 	}
 	bad := makeSites(slots)
-	bad[0].N = 0
+	bad[0].Cluster = opteronCluster(0)
 	if _, err := NewSystem(bad, 0.01, slots); err == nil {
 		t.Error("bad site accepted")
+	}
+	mixed := makeSites(slots)
+	mixed[1].Cluster = dcmodel.HeterogeneousCluster(100, 2)
+	if _, err := NewSystem(mixed, 0.01, slots); err == nil {
+		t.Error("mixed-type site accepted")
+	}
+	if _, err := NewFleet(mixed, 0.01, slots, gsd.Options{}); err != nil {
+		t.Errorf("Fleet rejected a mixed-type site: %v", err)
 	}
 }
 

@@ -29,7 +29,7 @@ func (sys *System) stepNaive(lambda, v float64) (StepOutcome, int, error) {
 			best := -1
 			bestDelta := math.Inf(1)
 			for i := 0; i < k; i++ {
-				if split[i]+chunk > sys.Sites[i].CapacityRPS() {
+				if split[i]+chunk > sys.caps[i] {
 					continue
 				}
 				solves++
@@ -64,4 +64,19 @@ func (sys *System) stepNaive(lambda, v float64) (StepOutcome, int, error) {
 		out.TotalGridKWh += so.GridKWh
 	}
 	return out, solves, nil
+}
+
+// siteValue returns site k's P3 optimum value at load mu (+Inf when the
+// site cannot carry mu). The hot path goes through evalSite instead, which
+// additionally separates real solver errors from capacity infeasibility.
+func (sys *System) siteValue(k int, v, mu float64) float64 {
+	if mu == 0 {
+		// An empty site powers down: zero P3 value.
+		return 0
+	}
+	sol, err := sys.siteProblem(k, v, mu).Solve()
+	if err != nil {
+		return math.Inf(1)
+	}
+	return sol.Value
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dcmodel"
 	"repro/internal/p3"
 	"repro/internal/price"
 	"repro/internal/renewable"
@@ -20,21 +19,18 @@ import (
 // makeSitesK builds a deterministic K-site federation with staggered
 // price levels, fleet sizes and on-site renewables, so splits are
 // non-trivial at any K.
-func makeSitesK(k, slots int) []Site {
-	sites := make([]Site, k)
+func makeSitesK(k, slots int) []FleetSite {
+	sites := make([]FleetSite, k)
 	for i := range sites {
 		p := price.CAISOYear(uint64(i + 1))
 		scale := 0.4 + 0.15*float64(i%5)
 		for j := range p.Values {
 			p.Values[j] *= scale
 		}
-		sites[i] = Site{
-			Name:   fmt.Sprintf("s%02d", i),
-			Server: dcmodel.Opteron(),
-			N:      60 + 10*(i%4),
-			Gamma:  0.95,
-			PUE:    1,
-			Price:  p,
+		sites[i] = FleetSite{
+			Name:    fmt.Sprintf("s%02d", i),
+			Cluster: opteronCluster(60 + 10*(i%4)),
+			Price:   p,
 			Portfolio: &renewable.Portfolio{
 				OnsiteKW:   trace.Constant("r", float64(i%3), slots),
 				OffsiteKWh: trace.Constant("f", 2, slots),
@@ -250,8 +246,8 @@ func TestSolveErrorSurfaced(t *testing.T) {
 func TestNoSiteCanAbsorbChunk(t *testing.T) {
 	const slots = 4
 	sites := makeSitesK(2, slots)
-	sites[0].N = 1
-	sites[1].N = 2 // capacities split 1:2 → 33.3 and 66.7 chunks
+	sites[0].Cluster = opteronCluster(1)
+	sites[1].Cluster = opteronCluster(2) // capacities split 1:2 → 33.3 and 66.7 chunks
 	sys, err := NewSystem(sites, 0.005, slots)
 	if err != nil {
 		t.Fatal(err)

@@ -12,8 +12,8 @@ import (
 
 // This file pins the struct-of-arrays refactor against the layout it
 // replaced: a reference solver that walks the cluster's Group structs
-// directly (per-call accessor arithmetic, closure-based WaterFillItems
-// through the generic numopt.WaterFill path — no ClusterArrays, no
+// directly (per-call accessor arithmetic, closure-based waterItems
+// through the generic numopt.WaterFillInto path — no ClusterArrays, no
 // BulkWaterSystem) and runs the identical regime analysis. For randomized
 // problems over heterogeneous clusters the two must produce bit-for-bit
 // identical load vectors, objectives and Ledger charges.
@@ -58,14 +58,31 @@ func newRefSolver(p *dcmodel.SlotProblem, speeds []int) *refSolver {
 	return r
 }
 
-// items builds the closure-based WaterFillItems for one electricity weight —
-// the pre-SoA representation, one closure pair per group per fill.
-func (r *refSolver) items(omega float64) []numopt.WaterFillItem {
-	out := make([]numopt.WaterFillItem, len(r.groups))
+// waterItem is one closure-described water-filling coordinate: capacity,
+// marginal cost and its saturating inverse.
+type waterItem struct {
+	Cap   float64
+	Deriv func(v float64) float64
+	Alloc func(nu float64) float64
+}
+
+// waterItems adapts closure-described coordinates to numopt.WaterSystem
+// through the generic per-item path.
+type waterItems []waterItem
+
+func (w waterItems) Items() int                      { return len(w) }
+func (w waterItems) Cap(i int) float64               { return w[i].Cap }
+func (w waterItems) Deriv(i int, v float64) float64  { return w[i].Deriv(v) }
+func (w waterItems) Alloc(i int, nu float64) float64 { return w[i].Alloc(nu) }
+
+// items builds the closure-based water-filling items for one electricity
+// weight — the pre-SoA representation, one closure pair per group per fill.
+func (r *refSolver) items(omega float64) waterItems {
+	out := make(waterItems, len(r.groups))
 	wd := r.p.Wd
 	for i := range out {
 		g := r.groups[i]
-		out[i] = numopt.WaterFillItem{
+		out[i] = waterItem{
 			Cap: g.cap,
 			Deriv: func(v float64) float64 {
 				den := g.rate - v
@@ -117,7 +134,7 @@ func (r *refSolver) fill(omega float64) ([]float64, error) {
 		}
 		return loads, nil
 	}
-	loads, err := numopt.WaterFill(r.items(omega), r.p.LambdaRPS, waterFillTol)
+	loads, err := numopt.WaterFillInto(r.items(omega), r.p.LambdaRPS, waterFillTol, nil)
 	if err != nil {
 		return nil, ErrInfeasible
 	}

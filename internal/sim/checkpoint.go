@@ -9,7 +9,7 @@ const EngineCheckpointVersion = 1
 // slot cursor, the previous slot's active count (the switching-cost
 // anchor), and the records of every settled slot. The scenario and policy
 // are construction parameters, not state — rebuild them identically (and
-// restore the policy's own checkpoint, e.g. core.PolicyCheckpoint) before
+// restore the policy's own checkpoint, e.g. core.Policy's queue) before
 // restoring the engine; the Policy name is carried only as a guard against
 // resuming the wrong pairing. SlotRecord is all exported float64/int
 // fields, so the snapshot round-trips through JSON bit-for-bit.

@@ -3,9 +3,9 @@ package sim_test
 // Failed-step semantics: a rejected Step must leave the engine parked at
 // the failed slot with no record appended and no observers fired, and a
 // successful retry must continue the run as if the failure never happened.
-// Together with the policies' commit-in-Observe discipline this pins the
-// state-desync bugfix: a policy that speculates in Decide (COCA's
-// switching-cost anchor) cannot drift when a slot is rejected and retried.
+// The engine owns the switching-cost anchor (Observation.PrevActive), so a
+// rejected slot cannot desync COCA's switching charge from what was
+// actually operated.
 
 import (
 	"reflect"

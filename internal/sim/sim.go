@@ -31,6 +31,11 @@ type Observation struct {
 	LambdaRPS      float64
 	OnsiteKW       float64
 	PriceUSDPerKWh float64
+	// PrevActive is the active count of the last configuration the engine
+	// operated (0 before the first slot): the anchor the Fig. 5(d)
+	// switching charge is priced against. The engine owns it, so a policy
+	// that internalizes the charge needs no copy of its own.
+	PrevActive int
 }
 
 // Config is a fleet configuration for one slot of the homogeneous
@@ -177,6 +182,7 @@ func (sc *Scenario) Capacity() float64 {
 }
 
 // Observe builds the (possibly overestimated) observation for slot t.
+// PrevActive is left zero: only an Engine knows what it last operated.
 func (sc *Scenario) Observe(t int) Observation {
 	lambda := sc.Workload.Values[t]
 	if sc.Overestimate > 1 {
@@ -317,6 +323,7 @@ func (e *Engine) Step() error {
 	}
 	t := e.t
 	obs := e.sc.Observe(t)
+	obs.PrevActive = e.prevActive
 	var slotSpan, child *span.Span
 	if e.tracer != nil {
 		slotSpan = e.tracer.Start("sim.slot",

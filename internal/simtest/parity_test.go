@@ -34,6 +34,7 @@ func goldenRun(sc *sim.Scenario, p sim.Policy) (*sim.Result, error) {
 	zPerSlot := sc.Portfolio.RECPerSlotKWh(sc.Slots)
 	for t := 0; t < sc.Slots; t++ {
 		obs := sc.Observe(t)
+		obs.PrevActive = prevActive // the driver owns the switching anchor
 		cfg, err := p.Decide(obs)
 		if err != nil {
 			return nil, fmt.Errorf("golden: slot %d: %w", t, err)
@@ -337,7 +338,7 @@ func TestEngineResumeMatchesUninterrupted(t *testing.T) {
 	if err := json.Unmarshal(engBlob, &engCk); err != nil {
 		t.Fatal(err)
 	}
-	var polCk core.PolicyCheckpoint
+	var polCk lyapunov.QueueCheckpoint
 	if err := json.Unmarshal(polBlob, &polCk); err != nil {
 		t.Fatal(err)
 	}
