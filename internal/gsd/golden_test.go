@@ -8,15 +8,28 @@ import (
 	"testing"
 
 	"repro/internal/dcmodel"
+	"repro/internal/loadbalance"
 )
 
-// The hashes below were captured from the pre-optimization engine (the
-// NewInstance-per-proposal, Clone-per-acceptance implementation) and pin the
-// incremental hot path bit-for-bit: identical RNG draw sequence, identical
-// float arithmetic in every solve, identical incumbent/best-ever evolution
-// and history. Any last-ulp drift in the persistent-instance bookkeeping —
-// a delta-updated sum, a reordered accumulation, a skipped solve that
-// should have drawn randomness — changes a hash.
+// The hashes below pin the engine bit-for-bit: identical RNG draw
+// sequence, identical float arithmetic in every solve, identical
+// incumbent/best-ever evolution and history. Any last-ulp drift in the
+// persistent-instance bookkeeping — a delta-updated sum, a reordered
+// accumulation, a skipped solve that should have drawn randomness —
+// changes a hash. They were re-captured when the load split moved from
+// bisection to the bracketed Newton water-fill (the no-delay case, whose
+// Wd = 0 path has no water-fill, kept its hash); every returned split is
+// checked by loadbalance.Certify, so a hash pins a certified optimum, not
+// merely an unchanged one.
+
+// certified fails the test unless res's split passes the KKT certificate.
+func certified(t *testing.T, p *dcmodel.SlotProblem, res Result) Result {
+	t.Helper()
+	if err := loadbalance.Certify(p, res.Solution.Speeds, res.Solution.Load); err != nil {
+		t.Fatalf("GSD returned an uncertified split: %v", err)
+	}
+	return res
+}
 
 // hashRun digests a Result: Value, Iters, Accepted, Speeds, Load, History,
 // all as little-endian IEEE-754 bits through FNV-1a (the BENCH_engine.json
@@ -73,7 +86,7 @@ func TestGoldenSolveHashes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return certified(t, prob, res)
 	}
 
 	cases := []struct {
@@ -81,21 +94,22 @@ func TestGoldenSolveHashes(t *testing.T) {
 		want string
 		run  func(t *testing.T) string
 	}{
-		{"paper-seed0", "fnv1a:f05b3282f545a085", func(t *testing.T) string {
+		{"paper-seed0", "fnv1a:d8e1347c731ea9e9", func(t *testing.T) string {
 			return hashRun(paper(0))
 		}},
-		{"paper-seed7", "fnv1a:aebe49b4af208c7b", func(t *testing.T) string {
+		{"paper-seed7", "fnv1a:50d2c8ebc8877f23", func(t *testing.T) string {
 			return hashRun(paper(7))
 		}},
-		{"kink", "fnv1a:8f83c9ccf29b00e7", func(t *testing.T) string {
-			res, err := Solve(smallProblem(6, 100),
+		{"kink", "fnv1a:61ebb0fcf3886d3c", func(t *testing.T) string {
+			prob := smallProblem(6, 100)
+			res, err := Solve(prob,
 				Options{Delta: 1e4, MaxIters: 800, Seed: 42, RecordHistory: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return hashRun(res)
+			return hashRun(certified(t, prob, res))
 		}},
-		{"hetero", "fnv1a:87723ac18d3313b6", func(t *testing.T) string {
+		{"hetero", "fnv1a:ff4b153891f9313f", func(t *testing.T) string {
 			hc := dcmodel.HeterogeneousCluster(240, 12)
 			prob := &dcmodel.SlotProblem{
 				Cluster: hc, LambdaRPS: 0.35 * hc.MaxCapacityRPS(),
@@ -106,7 +120,7 @@ func TestGoldenSolveHashes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return hashRun(res)
+			return hashRun(certified(t, prob, res))
 		}},
 		{"no-delay", "fnv1a:6d2425c0e4f31a48", func(t *testing.T) string {
 			nc := dcmodel.HeterogeneousCluster(60, 6)
@@ -119,7 +133,7 @@ func TestGoldenSolveHashes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return hashRun(res)
+			return hashRun(certified(t, prob, res))
 		}},
 	}
 	for _, tc := range cases {
@@ -136,13 +150,17 @@ func TestGoldenSolveHashes(t *testing.T) {
 // slots with changing load, seed advancing per slot — so the seed-advance
 // chain and warm-start handoff stay bit-for-bit too.
 func TestGoldenSolverSequenceHash(t *testing.T) {
-	const want = "fnv1a:b1f60cea6e778a36"
+	const want = "fnv1a:52b431164c9613dd"
 	s := &Solver{Opts: Options{Delta: 1e5, MaxIters: 400, Seed: 21}}
 	var sols []dcmodel.Solution
 	for _, lam := range []float64{40, 140, 80} {
-		sol, err := s.Solve(smallProblem(3, lam))
+		prob := smallProblem(3, lam)
+		sol, err := s.Solve(prob)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if err := loadbalance.Certify(prob, sol.Speeds, sol.Load); err != nil {
+			t.Fatalf("λ = %v: uncertified split: %v", lam, err)
 		}
 		sols = append(sols, sol)
 	}

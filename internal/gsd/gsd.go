@@ -245,6 +245,9 @@ type engine struct {
 	eval  dcmodel.Solution
 	cache proposalCache
 	propG int
+	// The instance's work counters when the run was armed; run reports the
+	// difference.
+	fills0, sweeps0 int
 }
 
 func newEngine(p *dcmodel.SlotProblem, opts Options) (*engine, error) {
@@ -318,6 +321,7 @@ func (e *engine) reset(p *dcmodel.SlotProblem, opts Options) error {
 	if e.inst == nil {
 		e.inst = &loadbalance.Instance{}
 	}
+	e.fills0, e.sweeps0 = e.inst.Work()
 	if err := e.inst.Reset(p, e.speeds); err != nil {
 		return fmt.Errorf("gsd: initial load distribution: %w", err)
 	}
@@ -508,6 +512,8 @@ func (e *engine) run() Result {
 	}
 	if m := e.opts.Metrics; m != nil {
 		m.FinishSolve(e.iters, e.accept, patienceExit, time.Since(start).Seconds())
+		fills, sweeps := e.inst.Work()
+		m.AddSplitWork(fills-e.fills0, sweeps-e.sweeps0)
 	}
 	return Result{
 		Solution: e.bestEver,

@@ -93,6 +93,31 @@ func TestSolveMetricsInstrumentation(t *testing.T) {
 	}
 }
 
+// TestSolveMetricsSplitWork checks the load-split work counters: GSD adds
+// its instance's water-fills and sweeps once per solve, identical seeded
+// solves add identical amounts, and a fill stays within the Newton fill's
+// sweep budget.
+func TestSolveMetricsSplitWork(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m := telemetry.NewSolveMetrics(reg, "gsd")
+	p := smallProblem(6, 100)
+	opts := Options{Delta: 1e4, MaxIters: 300, Seed: 7, Metrics: m}
+	if _, err := Solve(p, opts); err != nil {
+		t.Fatal(err)
+	}
+	fills, sweeps := m.SplitFills.Value(), m.SplitSweeps.Value()
+	if fills < 1 || sweeps < 2*fills || sweeps > 8*fills {
+		t.Fatalf("one solve: %v fills, %v sweeps; want ≥ 1 fill at 2–8 sweeps each", fills, sweeps)
+	}
+	if _, err := Solve(p, opts); err != nil {
+		t.Fatal(err)
+	}
+	if m.SplitFills.Value() != 2*fills || m.SplitSweeps.Value() != 2*sweeps {
+		t.Fatalf("second identical solve added %v fills and %v sweeps, want %v and %v",
+			m.SplitFills.Value()-fills, m.SplitSweeps.Value()-sweeps, fills, sweeps)
+	}
+}
+
 // TestDistributedMetricsInstrumentation mirrors the check for the
 // message-passing engine.
 func TestDistributedMetricsInstrumentation(t *testing.T) {

@@ -2,7 +2,6 @@ package loadbalance
 
 import (
 	"errors"
-	"math"
 
 	"repro/internal/dcmodel"
 	"repro/internal/workpool"
@@ -13,112 +12,71 @@ import (
 // price-only protocol cannot break ties; use the centralized Solve instead.
 var ErrNeedsDelayWeight = errors.New("loadbalance: distributed solver requires Wd > 0")
 
-// distCoordinator drives bisection on the dual price by broadcasting
+// distCoordinator runs the water-fill's price iteration by broadcasting
 // (ω, ν) price signals to the server groups and aggregating their replies.
 // Each group is an autonomous agent: it answers a price query from nothing
 // but its own parameters, mirroring the dual-decomposition structure the
-// paper references ([5], [27]). The agents used to be one goroutine each;
-// at fleet scale (10k+ groups per site) that is 10k parked goroutines per
-// solve, so a round now fans the queries across a bounded worker pool —
-// every agent writes only its own reply slot, so the aggregate (summed in
-// agent-index order) is identical under any schedule, including the
-// sequential workers <= 1 path.
+// paper references ([5], [27]). A fill costs one bracket round, in which
+// every agent reports the prices at which it would be empty and full, and
+// then one round per Newton step, in which every agent reports its load at
+// the announced price and that load's slope in the price. The agents used
+// to be one goroutine each; at fleet scale (10k+ groups per site) that is
+// 10k parked goroutines per solve, so a round now fans the queries across
+// a bounded worker pool — every agent writes only its own reply slot, so
+// the aggregate (summed in agent-index order) is identical under any
+// schedule, including the sequential workers <= 1 path, and identical to
+// the centralized fill.
 type distCoordinator struct {
 	in      *Instance
-	workers int       // pool width for a broadcast round; <=1 sequential
-	loads   []float64 // per-agent reply: load accepted at the announced price
-	rounds  int       // broadcast rounds executed (the protocol's message cost)
+	workers int           // pool width for a broadcast round; <=1 sequential
+	terms   []bracketTerm // per-agent reply to a bracket round
+	loads   []float64     // per-agent reply: load accepted at the announced price
+	slopes  []float64     // per-agent reply: that load's slope in the price
 }
 
 func newDistCoordinator(in *Instance, workers int) *distCoordinator {
+	n := len(in.gIdx)
 	return &distCoordinator{
 		in:      in,
 		workers: workers,
-		loads:   make([]float64, len(in.gIdx)),
+		terms:   make([]bracketTerm, n),
+		loads:   make([]float64, n),
+		slopes:  make([]float64, n),
 	}
 }
 
-// round broadcasts one (ω, ν) price and gathers every agent's response into
-// the coordinator's reply slots, returning their agent-index-ordered sum.
-func (d *distCoordinator) round(omega, nu float64) float64 {
-	d.rounds++
+// bracket broadcasts ω and folds the agents' bracket replies in agent order.
+func (d *distCoordinator) bracket(omega float64) fillBracket {
+	in := d.in
+	workpool.Fan(d.workers, len(d.terms), func(agent int) {
+		d.terms[agent] = in.bracketTerm(agent, omega)
+	})
+	b := newFillBracket()
+	for _, t := range d.terms {
+		b.add(t)
+	}
+	return b
+}
+
+// sweep broadcasts one (ω, ν) price, copies the agents' loads into dst and
+// returns their agent-ordered sum and slope sum.
+func (d *distCoordinator) sweep(dst []float64, omega, nu float64) (sum, slope float64) {
 	in := d.in
 	workpool.Fan(d.workers, len(d.loads), func(agent int) {
-		d.loads[agent] = in.alloc(agent, omega, nu)
+		d.loads[agent], d.slopes[agent] = in.allocSlope(agent, omega, nu)
 	})
-	var s float64
-	for _, l := range d.loads {
-		s += l
+	for i, l := range d.loads {
+		dst[i] = l
+		sum += l
+		slope += d.slopes[i]
 	}
-	return s
+	return sum, slope
 }
 
-// fillInto performs the distributed water-filling for a fixed electricity
-// weight: geometric bracket expansion on ν followed by bisection, each step
-// one broadcast round. It implements the filler interface solveWith drives;
-// dst is reused when large enough.
+// fillInto runs one distributed water-fill. It implements the filler
+// interface solveWith drives; dst is reused when large enough.
 func (d *distCoordinator) fillInto(dst []float64, omega float64) ([]float64, error) {
-	n := len(d.in.gIdx)
-	loads := dst
-	if cap(loads) < n {
-		loads = make([]float64, n)
-	}
-	loads = loads[:n]
-	target := d.in.prob.LambdaRPS
-	if target == 0 {
-		for i := range loads {
-			loads[i] = 0
-		}
-		return loads, nil
-	}
-	nuLo, nuHi := 0.0, 1.0
-	for iter := 0; iter < 200; iter++ {
-		if d.round(omega, nuHi) >= target {
-			break
-		}
-		nuLo = nuHi
-		nuHi *= 2
-	}
-	solved := false
-	for iter := 0; iter < 200 && nuHi-nuLo > 1e-12*(1+nuHi); iter++ {
-		mid := nuLo + (nuHi-nuLo)/2
-		solved = true
-		if d.round(omega, mid) < target {
-			nuLo = mid
-		} else {
-			nuHi = mid
-		}
-	}
-	if !solved {
-		d.round(omega, nuHi)
-	}
-	var got float64
-	for i, l := range d.loads {
-		loads[i] = l
-		got += l
-	}
-	// Repair the bisection residual against the agents' γ-cap headroom.
-	resid := target - got
-	for pass := 0; pass < 4 && math.Abs(resid) > waterFillTol; pass++ {
-		for i := range loads {
-			if resid > 0 {
-				delta := math.Min(d.in.gCap[i]-loads[i], resid)
-				loads[i] += delta
-				resid -= delta
-			} else {
-				delta := math.Min(loads[i], -resid)
-				loads[i] -= delta
-				resid += delta
-			}
-			if math.Abs(resid) <= waterFillTol {
-				break
-			}
-		}
-	}
-	if math.Abs(resid) > 1e-3 {
-		return nil, ErrInfeasible
-	}
-	return loads, nil
+	return d.in.waterFill(d, dst, omega)
 }
 
 // SolveDistributed computes the same optimum as Solve but via the
@@ -131,9 +89,9 @@ func SolveDistributed(p *dcmodel.SlotProblem, speeds []int) (dcmodel.Solution, e
 }
 
 // SolveDistributedCounted is SolveDistributed, additionally reporting the
-// number of price broadcast rounds the dual protocol spent (bracket
-// expansion plus bisection, summed over every ω the outer search tried) —
-// the message cost a real deployment would pay per load split.
+// number of price broadcast rounds the dual protocol spent (a bracket round
+// plus the Newton rounds of each fill, summed over every ω the outer search
+// tried) — the message cost a real deployment would pay per load split.
 func SolveDistributedCounted(p *dcmodel.SlotProblem, speeds []int) (dcmodel.Solution, int, error) {
 	return SolveDistributedWorkers(p, speeds, 1)
 }
@@ -151,15 +109,15 @@ func SolveDistributedWorkers(p *dcmodel.SlotProblem, speeds []int, workers int) 
 	if err != nil {
 		return dcmodel.Solution{}, 0, err
 	}
-	d := newDistCoordinator(in, workers)
-	loads, err := in.solveWith(d)
+	loads, err := in.solveWith(newDistCoordinator(in, workers))
+	_, rounds := in.Work()
 	if err != nil {
-		return dcmodel.Solution{}, d.rounds, err
+		return dcmodel.Solution{}, rounds, err
 	}
 	full := in.expandInto(nil, loads)
 	return dcmodel.Solution{
 		Speeds: append([]int(nil), speeds...),
 		Load:   full,
 		Value:  p.Objective(speeds, full),
-	}, d.rounds, nil
+	}, rounds, nil
 }

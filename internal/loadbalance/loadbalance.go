@@ -8,9 +8,21 @@
 // where group power is affine in load and the M/G/1/PS delay cost is convex.
 // The [·]^+ kink makes the objective piecewise convex; we solve it by regime
 // analysis — water-fill with the full electricity weight (grid regime), with
-// zero weight (renewable-surplus regime), and, when the two disagree, bisect
-// the effective weight to pin total power exactly at the on-site supply r(t)
+// zero weight (renewable-surplus regime), and, when the two disagree, search
+// the effective weight ω ∈ [0, We] by Illinois false position, bracketed by
+// those two fills, to pin total power exactly at the on-site supply r(t)
 // (the kink).
+//
+// Each water-fill solves Σ_g L_g(ν) = λ for the dual price ν with a
+// bracketed Newton method (numopt.NewtonBracket). A group's load at price ν
+// has the closed form L = R − sqrt(Wd·n·R/(ν − ω·A)), clamped to [0, γ·R],
+// and its slope dL/dν comes from the same square root, so one O(n) sweep
+// yields both Σ L_g and its derivative. The bracket is exact — from the
+// price at which the first group starts to take load to the price at which
+// the last one is full — and the start is the closed-form price at which
+// every group would be interior. A fill takes about 6–7 sweeps (one bracket
+// pass plus the Newton evaluations) and a kink split about 8–9 fills, the
+// grid and surplus probes included.
 //
 // Two solvers are provided: Solve, a single-coordinator KKT water-filling
 // solver, and SolveDistributed, a dual-decomposition implementation in which
@@ -95,49 +107,6 @@ type undoRecord struct {
 	rateSum float64
 }
 
-// fillSystem adapts an Instance to numopt.WaterSystem for one electricity
-// weight ω without allocating: the instance owns a single fillSystem and
-// rewrites omega per fill, and the pointer passed as the interface is the
-// already-heap-resident field, so no per-fill boxing occurs. It also
-// implements numopt.BulkWaterSystem, so the water-filling inner loops run
-// over the instance's flat arrays without a per-item interface call.
-type fillSystem struct {
-	in    *Instance
-	omega float64
-}
-
-func (s *fillSystem) Items() int        { return len(s.in.gIdx) }
-func (s *fillSystem) Cap(i int) float64 { return s.in.gCap[i] }
-func (s *fillSystem) Deriv(i int, v float64) float64 {
-	return s.in.marginal(i, s.omega, v)
-}
-func (s *fillSystem) Alloc(i int, nu float64) float64 {
-	return s.in.alloc(i, s.omega, nu)
-}
-
-// SumAlloc implements numopt.BulkWaterSystem: Σ_i Alloc(i, ν) accumulated in
-// ascending index order — the exact arithmetic of the generic per-item loop.
-func (s *fillSystem) SumAlloc(nu float64) float64 {
-	in, omega := s.in, s.omega
-	var sum float64
-	for i := 0; i < len(in.gIdx); i++ {
-		sum += in.alloc(i, omega, nu)
-	}
-	return sum
-}
-
-// AllocInto implements numopt.BulkWaterSystem: writes Alloc(i, ν) into out
-// and returns the ascending-order sum of the written values.
-func (s *fillSystem) AllocInto(out []float64, nu float64) float64 {
-	in, omega := s.in, s.omega
-	var sum float64
-	for i := range out {
-		out[i] = in.alloc(i, omega, nu)
-		sum += out[i]
-	}
-	return sum
-}
-
 // orderCache memoizes the fillNoDelay group ordering. The sort key is
 // ω·slope, and ω only enters as a non-negative scale factor: for every ω > 0
 // the comparisons reduce to the slopes themselves, and for ω = 0 every key
@@ -183,13 +152,11 @@ func sortedOrder(buf []int, in *Instance, omega float64) []int {
 }
 
 // solveScratch holds the reusable buffers of the regime analysis: the grid
-// and surplus fills plus two rotating buffers for the ω-bisection, whose
-// last two evaluations double as a memo so the final fill can be reused
-// instead of recomputed when the bisection already evaluated the returned ω.
+// and surplus fills and the fill of the kink search's latest weight.
 type solveScratch struct {
 	grid []float64
 	free []float64
-	bis  [2][]float64
+	kink []float64
 }
 
 // Instance is a prepared subproblem for one (problem, speeds) pair. Prepare
@@ -224,9 +191,11 @@ type Instance struct {
 	rateSum float64 // Σ R of on groups (Cluster.UsableCapacityRPS before the γ factor)
 
 	undo    undoRecord
-	sys     fillSystem
 	order   orderCache
 	scratch solveScratch
+
+	// Work counters (see Work): plain integers, never reset.
+	fills, sweeps int
 }
 
 // NewInstance validates and prepares the subproblem. It returns
@@ -271,7 +240,6 @@ func (in *Instance) Reset(p *dcmodel.SlotProblem, speeds []int) error {
 		in.gIdx, in.gN, in.gRate, in.gSlope, in.gCap =
 			in.gIdx[:0], in.gN[:0], in.gRate[:0], in.gSlope[:0], in.gCap[:0]
 	}
-	in.sys.in = in
 	in.undo.valid = false
 	for g := range p.Cluster.Groups {
 		k := speeds[g]
@@ -330,6 +298,14 @@ func (in *Instance) recompute() {
 	in.baseKW, in.capSum, in.rateSum = base, caps, rates
 	in.order.valid = false
 }
+
+// Work reports the load-split work the instance has done since it was
+// created: fills counts water-fills (one per electricity weight a solve
+// tries) and sweeps counts O(n) passes that evaluate every group's
+// allocation — a fill's bracket pass plus one per Newton evaluation. The
+// counters are never reset, Reset included; take differences around the
+// work of interest.
+func (in *Instance) Work() (fills, sweeps int) { return in.fills, in.sweeps }
 
 // Speeds returns the instance's current speed vector. The slice is the
 // instance's own state: treat it as read-only.
@@ -464,21 +440,100 @@ func (in *Instance) marginal(i int, omega, v float64) float64 {
 	return omega*in.gSlope[i] + in.prob.Wd*in.gN[i]*in.gRate[i]/(den*den)
 }
 
-// alloc returns the load at which on group i's marginal cost equals price nu
-// under electricity weight omega, clamped to [0, cap].
-func (in *Instance) alloc(i int, omega, nu float64) float64 {
+// allocSlope returns the load at which on group i's marginal cost equals
+// price nu under electricity weight omega, clamped to [0, cap], and the
+// load's derivative in nu (0 when clamped). It is the per-group reply of a
+// water-fill sweep; Wd > 0 is the caller's precondition.
+func (in *Instance) allocSlope(i int, omega, nu float64) (load, slope float64) {
 	rem := nu - omega*in.gSlope[i]
 	if rem <= 0 {
-		return 0
+		return 0, 0
 	}
-	if in.prob.Wd <= 0 {
-		// Pure electricity cost: bang-bang (handled by fillNoDelay; this
-		// path keeps alloc total so water-filling code stays generic).
-		return in.gCap[i]
+	// Wd·n·R/(R−L)² = rem  →  L = R − q with q = sqrt(Wd·n·R/rem), and
+	// dL/dν = q/(2·rem).
+	q := math.Sqrt(in.prob.Wd * in.gN[i] * in.gRate[i] / rem)
+	load = in.gRate[i] - q
+	switch {
+	case load <= 0:
+		return 0, 0
+	case load >= in.gCap[i]:
+		return in.gCap[i], 0
 	}
-	// Wd·n·R/(R−L)² = rem  →  L = R − sqrt(Wd·n·R/rem).
-	l := in.gRate[i] - math.Sqrt(in.prob.Wd*in.gN[i]*in.gRate[i]/rem)
-	return numopt.Clamp(l, 0, in.gCap[i])
+	return load, q / (2 * rem)
+}
+
+// bracketTerm is one group's reply to a fill's bracket pass: the prices at
+// which it is empty and full, its price floor ω·A, sqrt(Wd·n·R) and R.
+type bracketTerm struct {
+	empty, full, floor, root, rate float64
+}
+
+func (in *Instance) bracketTerm(i int, omega float64) bracketTerm {
+	return bracketTerm{
+		empty: in.marginal(i, omega, 0),
+		full:  in.marginal(i, omega, in.gCap[i]),
+		floor: omega * in.gSlope[i],
+		root:  math.Sqrt(in.prob.Wd * in.gN[i] * in.gRate[i]),
+		rate:  in.gRate[i],
+	}
+}
+
+// fillBracket folds bracket terms, in ascending group order, into the
+// exact price bracket of one water-fill and its starting price.
+type fillBracket struct {
+	lo, hi float64 // below lo every group is empty; above hi every group is full
+	floor  float64 // min ω·A over the groups
+	roots  float64 // Σ sqrt(Wd·n·R)
+	rates  float64 // Σ R
+}
+
+func newFillBracket() fillBracket {
+	return fillBracket{lo: math.Inf(1), hi: math.Inf(-1), floor: math.Inf(1)}
+}
+
+func (b *fillBracket) add(t bracketTerm) {
+	b.lo = math.Min(b.lo, t.empty)
+	b.hi = math.Max(b.hi, t.full)
+	b.floor = math.Min(b.floor, t.floor)
+	b.roots += t.root
+	b.rates += t.rate
+}
+
+// start is the price at which Σ L = target if every group were interior
+// and shared the lowest price floor: Σ (R − sqrt(Wd·n·R/(ν − floor))) =
+// target solved for ν. It is exact for groups of one power slope.
+func (b *fillBracket) start(target float64) float64 {
+	k := b.roots / (b.rates - target)
+	return b.floor + k*k
+}
+
+// sweeper evaluates a water-fill: bracket runs the bracket pass and sweep
+// writes every group's load at one price into dst, returning Σ L and
+// Σ dL/dν. The Instance loops over its groups; the distributed
+// coordinator broadcasts the price and gathers its agents' replies. Both
+// use bracketTerm and allocSlope per group and accumulate in ascending
+// group order, so the centralized and distributed fills are bit-identical.
+type sweeper interface {
+	bracket(omega float64) fillBracket
+	sweep(dst []float64, omega, nu float64) (sum, slope float64)
+}
+
+func (in *Instance) bracket(omega float64) fillBracket {
+	b := newFillBracket()
+	for i := range in.gIdx {
+		b.add(in.bracketTerm(i, omega))
+	}
+	return b
+}
+
+func (in *Instance) sweep(dst []float64, omega, nu float64) (sum, slope float64) {
+	for i := range dst {
+		l, dl := in.allocSlope(i, omega, nu)
+		dst[i] = l
+		sum += l
+		slope += dl
+	}
+	return sum, slope
 }
 
 // filler computes one water-filling for a fixed electricity weight, writing
@@ -496,18 +551,68 @@ func (in *Instance) fillInto(dst []float64, omega float64) ([]float64, error) {
 	if in.prob.Wd <= 0 {
 		return in.fillNoDelayInto(dst, omega), nil
 	}
-	in.sys.omega = omega
-	out, err := numopt.WaterFillInto(&in.sys, in.prob.LambdaRPS, waterFillTol, dst)
-	if err != nil {
-		return nil, ErrInfeasible
-	}
-	return out, nil
+	return in.waterFill(in, dst, omega)
 }
 
 // fill is the allocating form of fillInto, kept for white-box tests and
 // one-shot callers.
 func (in *Instance) fill(omega float64) ([]float64, error) {
 	return in.fillInto(nil, omega)
+}
+
+// waterFill solves Σ_g L_g(ν) = λ for the dual price ν under electricity
+// weight omega (Wd > 0) with sw's sweeps, writing the loads into dst
+// (grown when short). numopt.NewtonBracket runs on the exact bracket from
+// the all-interior start and returns the last price it swept, so dst
+// already holds that price's loads; the remaining residual (at most
+// fillRelTol·λ unless the bracket collapsed first) is repaired against the
+// groups' γ-cap headroom.
+func (in *Instance) waterFill(sw sweeper, dst []float64, omega float64) ([]float64, error) {
+	n := len(in.gIdx)
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	in.fills++
+	target := in.prob.LambdaRPS
+	switch {
+	case target == 0:
+		clear(dst)
+		return dst, nil
+	case target >= in.capSum:
+		copy(dst, in.gCap)
+		return dst, nil
+	}
+	b := sw.bracket(omega)
+	in.sweeps++
+	var got float64
+	numopt.NewtonBracket(func(nu float64) (float64, float64) {
+		in.sweeps++
+		sum, slope := sw.sweep(dst, omega, nu)
+		got = sum
+		return sum, slope
+	}, target, b.lo, b.hi, b.start(target), fillRelTol*target, (b.hi-b.lo)*1e-13, 100)
+	resid := target - got
+	for pass := 0; pass < 4 && math.Abs(resid) > waterFillTol; pass++ {
+		for i := range dst {
+			if resid > 0 {
+				delta := math.Min(in.gCap[i]-dst[i], resid)
+				dst[i] += delta
+				resid -= delta
+			} else {
+				delta := math.Min(dst[i], -resid)
+				dst[i] -= delta
+				resid += delta
+			}
+			if math.Abs(resid) <= waterFillTol {
+				break
+			}
+		}
+	}
+	if math.Abs(resid) > 1e-3 {
+		return nil, ErrInfeasible
+	}
+	return dst, nil
 }
 
 // fillNoDelayInto handles the degenerate Wd = 0 case (no delay weight): the
@@ -535,7 +640,19 @@ func (in *Instance) fillNoDelayInto(dst []float64, omega float64) []float64 {
 	return dst
 }
 
-const waterFillTol = 1e-7
+// Water-fill tolerances. A fill's Newton search stops once Σ L is within
+// fillRelTol·λ of λ — about 10⁴ ulps of λ, above the rounding of an n-term
+// sum at the group counts this repository runs and far below any load
+// that matters — and any residual above waterFillTol (RPS) is then
+// repaired against the groups' headroom. The kink search stops once total
+// power is within kinkRelTol·r of r. It is tighter because a power miss is
+// charged at up to We per kW: with a small delay weight, stopping at
+// 1e-12·r could still move a kink split's objective by 1e-8 relative.
+const (
+	fillRelTol   = 1e-12
+	waterFillTol = 1e-7
+	kinkRelTol   = 1e-13
+)
 
 // powerOf returns the facility power of an instance-group load vector.
 func (in *Instance) powerOf(loads []float64) float64 {
@@ -611,7 +728,8 @@ func (in *Instance) solveWith(f filler) ([]float64, error) {
 		return nil, err
 	}
 	in.scratch.grid = gridLoads
-	if in.prob.We == 0 || in.powerOf(gridLoads) >= r-powerTol {
+	pGrid := in.powerOf(gridLoads)
+	if in.prob.We == 0 || pGrid >= r-powerTol {
 		return gridLoads, nil
 	}
 	// Regime "surplus": on-site renewables cover everything; electricity
@@ -621,45 +739,30 @@ func (in *Instance) solveWith(f filler) ([]float64, error) {
 		return nil, err
 	}
 	in.scratch.free = freeLoads
-	if in.powerOf(freeLoads) <= r+powerTol {
+	pFree := in.powerOf(freeLoads)
+	if pFree <= r+powerTol {
 		return freeLoads, nil
 	}
 	// Kink regime: the optimum pins total power at r. Total power is
-	// non-increasing in the effective weight ω, so bisect ω ∈ [0, We].
-	// The two rotating scratch buffers remember the last two evaluated
-	// (ω, loads) pairs; when the bisection returns an ω it already
-	// evaluated (a saturated endpoint or an exact hit), the computed loads
-	// are reused instead of re-filled.
-	var (
-		lastW  [2]float64
-		lastOK [2]bool
-		cur    int
-	)
-	omega := numopt.BisectMonotone(func(w float64) float64 {
-		loads, ferr := f.fillInto(in.scratch.bis[cur], w)
+	// non-increasing in the effective weight ω, and the grid and surplus
+	// fills are its values at ω = We and ω = 0, so they bracket a false-
+	// position search over ω. Every evaluation fills the one kink buffer and
+	// the search returns the last weight it evaluated, so the buffer ends
+	// holding the returned weight's loads. A failed fill returns r, which
+	// ends the search at once.
+	numopt.FalsePosition(func(w float64) float64 {
+		loads, ferr := f.fillInto(in.scratch.kink, w)
 		if ferr != nil {
 			err = ferr
-			return 0
+			return r
 		}
-		in.scratch.bis[cur] = loads
-		lastW[cur], lastOK[cur] = w, true
-		cur = 1 - cur
+		in.scratch.kink = loads
 		return in.powerOf(loads)
-	}, r, 0, in.prob.We, in.prob.We*1e-12, 100)
+	}, r, 0, pFree, in.prob.We, pGrid, kinkRelTol*r, in.prob.We*1e-12, 100)
 	if err != nil {
 		return nil, err
 	}
-	for i := range lastW {
-		if lastOK[i] && lastW[i] == omega {
-			return in.scratch.bis[i], nil
-		}
-	}
-	loads, err := f.fillInto(in.scratch.bis[cur], omega)
-	if err != nil {
-		return nil, err
-	}
-	in.scratch.bis[cur] = loads
-	return loads, nil
+	return in.scratch.kink, nil
 }
 
 const powerTol = 1e-6 // kW: tolerance when comparing power against r(t)

@@ -1,6 +1,7 @@
 package loadbalance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -10,13 +11,14 @@ import (
 	"repro/internal/numopt"
 )
 
-// This file pins the struct-of-arrays refactor against the layout it
-// replaced: a reference solver that walks the cluster's Group structs
-// directly (per-call accessor arithmetic, closure-based waterItems
-// through the generic numopt.WaterFillInto path — no ClusterArrays, no
-// BulkWaterSystem) and runs the identical regime analysis. For randomized
-// problems over heterogeneous clusters the two must produce bit-for-bit
-// identical load vectors, objectives and Ledger charges.
+// This file keeps the bisection reference solver: the split as it was
+// computed before the bracketed Newton fill. It walks the cluster's Group
+// structs directly (per-call accessor arithmetic, closure-based items, no
+// ClusterArrays), water-fills by geometric bracket expansion and bisection
+// on the dual price ν, and bisects the kink's electricity weight ω. For
+// randomized problems the production solver must certify (Certify) and
+// match the reference's objective to 1e-9 relative; on the Wd = 0 path,
+// which neither change touched, the two stay bit-for-bit identical.
 
 // refGroup is one on group's constants in the old (ad hoc, per-solve)
 // layout, gathered from the Group accessors at solve time.
@@ -66,19 +68,10 @@ type waterItem struct {
 	Alloc func(nu float64) float64
 }
 
-// waterItems adapts closure-described coordinates to numopt.WaterSystem
-// through the generic per-item path.
-type waterItems []waterItem
-
-func (w waterItems) Items() int                      { return len(w) }
-func (w waterItems) Cap(i int) float64               { return w[i].Cap }
-func (w waterItems) Deriv(i int, v float64) float64  { return w[i].Deriv(v) }
-func (w waterItems) Alloc(i int, nu float64) float64 { return w[i].Alloc(nu) }
-
 // items builds the closure-based water-filling items for one electricity
 // weight — the pre-SoA representation, one closure pair per group per fill.
-func (r *refSolver) items(omega float64) waterItems {
-	out := make(waterItems, len(r.groups))
+func (r *refSolver) items(omega float64) []waterItem {
+	out := make([]waterItem, len(r.groups))
 	wd := r.p.Wd
 	for i := range out {
 		g := r.groups[i]
@@ -134,11 +127,70 @@ func (r *refSolver) fill(omega float64) ([]float64, error) {
 		}
 		return loads, nil
 	}
-	loads, err := numopt.WaterFillInto(r.items(omega), r.p.LambdaRPS, waterFillTol, nil)
-	if err != nil {
-		return nil, ErrInfeasible
+	return bisectFill(r.items(omega), r.p.LambdaRPS, waterFillTol), nil
+}
+
+// bisectFill is the bisection water-fill: expand a ν bracket geometrically
+// from the smallest empty-price until the items cover total, bisect it to
+// 1e-13 of its width, then repair the residual against the caps. The
+// caller has checked total against the capacity.
+func bisectFill(items []waterItem, total, tol float64) []float64 {
+	out := make([]float64, len(items))
+	var capSum float64
+	for _, it := range items {
+		capSum += it.Cap
 	}
-	return loads, nil
+	if total == 0 {
+		return out
+	}
+	if total >= capSum {
+		for i, it := range items {
+			out[i] = it.Cap
+		}
+		return out
+	}
+	sumAt := func(nu float64) float64 {
+		var s float64
+		for _, it := range items {
+			s += it.Alloc(nu)
+		}
+		return s
+	}
+	nuLo, nuHi := math.Inf(1), math.Inf(-1)
+	for _, it := range items {
+		d0 := it.Deriv(0)
+		nuLo, nuHi = math.Min(nuLo, d0), math.Max(nuHi, d0)
+	}
+	if nuHi <= nuLo {
+		nuHi = nuLo + 1
+	}
+	for iter := 0; sumAt(nuHi) < total && iter < 200; iter++ {
+		nuHi = nuLo + 2*(nuHi-nuLo)
+	}
+	nu := numopt.BisectMonotone(sumAt, total, nuLo, nuHi, (nuHi-nuLo)*1e-13, 120)
+	var got float64
+	for i, it := range items {
+		out[i] = it.Alloc(nu)
+		got += out[i]
+	}
+	resid := total - got
+	for pass := 0; pass < 4 && math.Abs(resid) > tol; pass++ {
+		for i, it := range items {
+			if resid > 0 {
+				d := math.Min(it.Cap-out[i], resid)
+				out[i] += d
+				resid -= d
+			} else {
+				d := math.Min(out[i], -resid)
+				out[i] -= d
+				resid += d
+			}
+			if math.Abs(resid) <= tol {
+				break
+			}
+		}
+	}
+	return out
 }
 
 func (r *refSolver) powerOf(loads []float64) float64 {
@@ -205,37 +257,79 @@ func (r *refSolver) solve() (dcmodel.Solution, error) {
 	return sol, nil
 }
 
+// parityProblem draws one problem of the randomized parity corpus: a
+// heterogeneous cluster of up to 24 groups, a random speed vector, load
+// up to capacity, weights that include Wd = 0 and We = 0, and on-site
+// supplies that span all three regimes (grid, kink, surplus).
+func parityProblem(rng *rand.Rand) (*dcmodel.SlotProblem, []int) {
+	groups := 1 + rng.Intn(24)
+	cluster := dcmodel.HeterogeneousCluster(groups*(2+rng.Intn(30)), groups)
+	speeds := make([]int, groups)
+	for g := range speeds {
+		speeds[g] = rng.Intn(cluster.Groups[g].Type.NumSpeeds() + 1)
+	}
+	var capRPS float64
+	for g := range speeds {
+		capRPS += cluster.Gamma * cluster.Groups[g].RateAt(speeds[g])
+	}
+	wd := []float64{0, 0.02, 1.7}[rng.Intn(3)]
+	we := []float64{0, 0.05, 3.1}[rng.Intn(3)]
+	return &dcmodel.SlotProblem{
+		Cluster:   cluster,
+		LambdaRPS: capRPS * rng.Float64(),
+		We:        we,
+		Wd:        wd,
+		OnsiteKW:  []float64{0, 1, 20, 1e6}[rng.Intn(4)] * rng.Float64(),
+	}, speeds
+}
+
+// requireMatchesReference certifies the production split and the
+// bisection reference's, and requires the production objective to be no
+// more than 1e-9 relative above the reference's; on the untouched Wd = 0
+// path it requires bit equality. The production split may beat the
+// reference by more: in the kink regime the reference stops bisecting ω at
+// a width of 1e-12·We, which can leave its power a few 1e-9 kW above r,
+// and a small delay weight makes that charge visible. Such cases are
+// logged.
+func requireMatchesReference(t *testing.T, label string, p *dcmodel.SlotProblem, got, want dcmodel.Solution) {
+	t.Helper()
+	if err := Certify(p, got.Speeds, got.Load); err != nil {
+		t.Fatalf("%s: production split: %v", label, err)
+	}
+	if err := Certify(p, want.Speeds, want.Load); err != nil {
+		t.Fatalf("%s: reference split: %v", label, err)
+	}
+	if p.Wd == 0 {
+		for g := range want.Load {
+			if got.Load[g] != want.Load[g] {
+				t.Fatalf("%s: Wd = 0 group %d load %v != reference %v", label, g, got.Load[g], want.Load[g])
+			}
+		}
+		if got.Value != want.Value {
+			t.Fatalf("%s: Wd = 0 objective %v != reference %v", label, got.Value, want.Value)
+		}
+		return
+	}
+	if d := got.Value - want.Value; math.Abs(d) > 1e-9*math.Abs(want.Value) {
+		if d > 0 {
+			t.Fatalf("%s: objective %v vs reference %v (relative %.3g)", label, got.Value, want.Value, d/math.Abs(want.Value))
+		}
+		t.Logf("%s: objective %v beats reference %v (relative %.3g)", label, got.Value, want.Value, d/math.Abs(want.Value))
+	}
+}
+
 // TestSoAMatchesOldLayoutProperty is the randomized parity sweep: for
 // random heterogeneous clusters, speed vectors, loads, weights and on-site
 // supplies spanning all three regimes (grid, kink, surplus) plus the Wd=0
-// degenerate case, the SoA Instance and the old-layout reference must agree
-// bit-for-bit — on the load vector, the P3 objective and the resulting
-// Ledger charge.
+// degenerate case, the SoA Instance and the bisection reference must both
+// certify and agree on the P3 objective to 1e-9 relative; on the Wd = 0
+// path they agree bit-for-bit on the load vector, the objective and the
+// resulting Ledger charge.
 func TestSoAMatchesOldLayoutProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2013))
 	cases := 0
 	for trial := 0; trial < 120; trial++ {
-		groups := 1 + rng.Intn(24)
-		cluster := dcmodel.HeterogeneousCluster(groups*(2+rng.Intn(30)), groups)
-		speeds := make([]int, groups)
-		for g := range speeds {
-			speeds[g] = rng.Intn(cluster.Groups[g].Type.NumSpeeds() + 1)
-		}
-		var capRPS float64
-		for g := range speeds {
-			capRPS += cluster.Gamma * cluster.Groups[g].RateAt(speeds[g])
-		}
-		wd := []float64{0, 0.02, 1.7}[rng.Intn(3)]
-		we := []float64{0, 0.05, 3.1}[rng.Intn(3)]
-		p := &dcmodel.SlotProblem{
-			Cluster:   cluster,
-			LambdaRPS: capRPS * rng.Float64(),
-			We:        we,
-			Wd:        wd,
-			// Spans sub-grid, mid (kink) and above-everything supplies.
-			OnsiteKW: []float64{0, 1, 20, 1e6}[rng.Intn(4)] * rng.Float64(),
-		}
-
+		p, speeds := parityProblem(rng)
 		in, err := NewInstance(p, speeds)
 		if err != nil {
 			if err == ErrInfeasible {
@@ -252,15 +346,7 @@ func TestSoAMatchesOldLayoutProperty(t *testing.T) {
 			continue
 		}
 		cases++
-		for g := range want.Load {
-			if got.Load[g] != want.Load[g] {
-				t.Fatalf("trial %d: group %d load %v (SoA) != %v (old layout)",
-					trial, g, got.Load[g], want.Load[g])
-			}
-		}
-		if got.Value != want.Value {
-			t.Fatalf("trial %d: objective %v (SoA) != %v (old layout)", trial, got.Value, want.Value)
-		}
+		requireMatchesReference(t, fmt.Sprintf("trial %d", trial), p, got, want)
 		led := dcmodel.Ledger{
 			PriceUSDPerKWh: 0.04 + 0.1*rng.Float64(),
 			OnsiteKW:       p.OnsiteKW,
@@ -268,6 +354,10 @@ func TestSoAMatchesOldLayoutProperty(t *testing.T) {
 			Alpha:          1,
 			RECPerSlotKWh:  5,
 		}
+		if p.Wd != 0 {
+			continue
+		}
+		cluster := p.Cluster
 		chGot := led.Charge(cluster.FacilityPowerKW(got.Speeds, got.Load),
 			cluster.DelayCost(got.Speeds, got.Load), 0)
 		chWant := led.Charge(cluster.FacilityPowerKW(want.Speeds, want.Load),

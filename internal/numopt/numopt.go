@@ -1,9 +1,12 @@
 // Package numopt is the handwritten numerical-optimization toolkit used by
 // the COCA reproduction. Go has no mainstream numerical ecosystem, so the
-// primitives the paper's algorithms rest on — scalar root finding, unimodal
-// search over both continuous and integer domains, and the KKT water-filling
-// solver for separable convex programs with a single linear coupling
-// constraint — are implemented here from scratch on the standard library.
+// primitives the paper's algorithms rest on are implemented here from
+// scratch on the standard library: scalar root finding (plain and
+// saturating bisection, a bracketed safeguarded Newton method and the
+// Illinois false-position method) and unimodal search over both continuous
+// and integer domains. The load balancer's water-fill (package loadbalance)
+// solves its dual price with NewtonBracket and its kink weight with
+// FalsePosition.
 package numopt
 
 import (
@@ -86,6 +89,113 @@ func BisectMonotone(g func(float64) float64, target, lo, hi, xtol float64, maxIt
 	return lo + (hi-lo)/2
 }
 
+// NewtonBracket finds x in [lo, hi] with g(x) ≈ target for a continuous
+// non-decreasing g that the caller has bracketed: g(lo) ≤ target ≤ g(hi).
+// The endpoints are never evaluated. fdf returns g(x) and a slope g'(x)
+// (one-sided at kinks). Starting from x0, every evaluation shrinks the
+// bracket by the sign of g(x) − target, then takes the Newton step
+// x + (target − g)/g' when it lands strictly inside the bracket and at
+// most halves the step before it, and bisects otherwise (a zero slope, a
+// step out of the bracket, a stalled step). That is the safeguard of
+// Numerical Recipes' rtsafe: the bracket at least halves every other
+// evaluation, and near a smooth root the steps converge quadratically.
+//
+// It stops when |g(x) − target| ≤ ftol, when the bracket is no wider than
+// xtol, or after maxIter evaluations, and returns the last point it
+// evaluated. It always evaluates at least once, so a caller whose fdf
+// leaves per-point work behind (the load balancer's per-group loads) can
+// use that work for the returned point without evaluating it again.
+func NewtonBracket(fdf func(x float64) (g, dg float64), target, lo, hi, x0, ftol, xtol float64, maxIter int) float64 {
+	x := x0
+	if !(x > lo && x < hi) { // also catches a NaN start
+		x = lo + (hi-lo)/2
+	}
+	step, prev := hi-lo, hi-lo
+	for i := 1; ; i++ {
+		g, dg := fdf(x)
+		r := g - target
+		if math.Abs(r) <= ftol || i >= maxIter {
+			return x
+		}
+		if r < 0 {
+			lo = x
+		} else {
+			hi = x
+		}
+		if hi-lo <= xtol {
+			return x
+		}
+		next := x - r/dg // ±Inf or NaN when dg == 0, caught below
+		if !(next > lo && next < hi) || math.Abs(next-x) > prev/2 {
+			next = lo + (hi-lo)/2
+		}
+		prev, step = step, math.Abs(next-x)
+		x = next
+	}
+}
+
+// FalsePosition finds x between a and b with g(x) ≈ target for a
+// continuous monotone g (either direction), given the endpoint values
+// ga = g(a) and gb = g(b), which callers usually already hold. It runs the
+// Illinois variant of regula falsi: each step evaluates the secant point of
+// the bracket and keeps the sub-bracket that still holds the target;
+// when the same end survives twice in a row its value is halved, so the
+// retained end cannot stall the convergence (superlinear, order ≈ 1.44).
+// A plateau next to the root can still make the secant crawl, so when four
+// steps have not halved the bracket the next step bisects it: the bracket
+// at least halves every five evaluations whatever g looks like, while a
+// well-behaved g never triggers the bisection.
+//
+// It stops when |g(x) − target| ≤ ftol, when the bracket is no wider than
+// xtol, or after maxIter evaluations, and returns the last point it
+// evaluated; as with NewtonBracket a caller may reuse that point's work.
+// When ga and gb do not strictly straddle the target, no evaluation is
+// made and the endpoint nearer to the target (by value) is returned.
+func FalsePosition(g func(float64) float64, target, a, ga, b, gb, ftol, xtol float64, maxIter int) float64 {
+	fa, fb := ga-target, gb-target
+	if fa == 0 || fb == 0 || (fa > 0) == (fb > 0) {
+		if math.Abs(fa) <= math.Abs(fb) {
+			return a
+		}
+		return b
+	}
+	side := 0 // which end the last secant step kept: -1 a, +1 b
+	// The bracket widths after the last four steps, a ring; +Inf until
+	// four steps have run.
+	widths := [4]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
+	bisect := false
+	for i := 1; ; i++ {
+		x := a + (b-a)/2
+		if !bisect {
+			x = Clamp((a*fb-b*fa)/(fb-fa), math.Min(a, b), math.Max(a, b))
+		}
+		fx := g(x) - target
+		if math.Abs(fx) <= ftol || i >= maxIter {
+			return x
+		}
+		if (fx > 0) == (fb > 0) {
+			b, fb = x, fx
+			if side == -1 && !bisect {
+				fa /= 2
+			}
+			side = -1
+		} else {
+			a, fa = x, fx
+			if side == +1 && !bisect {
+				fb /= 2
+			}
+			side = +1
+		}
+		width := math.Abs(b - a)
+		if width <= xtol {
+			return x
+		}
+		slot := i % len(widths)
+		bisect = width > widths[slot]/2
+		widths[slot] = width
+	}
+}
+
 // GoldenSection minimizes a unimodal continuous f over [lo, hi] to within
 // xtol and returns the minimizing argument and value.
 func GoldenSection(f func(float64) float64, lo, hi, xtol float64) (x, fx float64) {
@@ -158,138 +268,4 @@ func Clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// WaterSystem is the closure-free description of the separable convex
-// program WaterFillInto solves: coordinate i has capacity Cap(i), marginal
-// cost Deriv(i, v) that is continuous and strictly increasing on [0, Cap(i)),
-// and inverse marginal Alloc(i, nu) extended by saturation. A single
-// implementation over preallocated arrays lets hot loops (the GSD inner
-// loop solves one such program per Gibbs proposal) water-fill with zero
-// per-coordinate closure allocations.
-type WaterSystem interface {
-	// Items returns the number of coordinates.
-	Items() int
-	// Cap returns the upper bound on coordinate i.
-	Cap(i int) float64
-	// Deriv returns the marginal cost of coordinate i at allocation v.
-	Deriv(i int, v float64) float64
-	// Alloc returns the allocation at which coordinate i's marginal cost
-	// equals price nu, clamped to [0, Cap(i)].
-	Alloc(i int, nu float64) float64
-}
-
-// BulkWaterSystem is an optional extension of WaterSystem for systems whose
-// coordinate state lives in flat arrays: WaterFillInto type-asserts for it
-// and, when present, replaces its per-item Alloc interface calls with one
-// bulk call per price evaluation. Implementations MUST accumulate in
-// ascending index order — the exact arithmetic of the per-item loop they
-// replace — so the fast path stays bit-for-bit identical to the generic one.
-type BulkWaterSystem interface {
-	WaterSystem
-	// SumAlloc returns Σ_i Alloc(i, nu), accumulated in ascending i.
-	SumAlloc(nu float64) float64
-	// AllocInto writes Alloc(i, nu) into out[i] for i in [0, len(out)) and
-	// returns the ascending-order sum of the written values.
-	AllocInto(out []float64, nu float64) float64
-}
-
-// WaterFillInto solves
-//
-//	min Σ_i cost_i(λ_i)   s.t.  Σ_i λ_i = total,  0 ≤ λ_i ≤ Cap(i)
-//
-// for the separable convex costs sys describes, via bisection on the dual
-// price ν (the classic water-filling / KKT structure: λ_i(ν) = Alloc(i, ν)).
-// It writes the allocation into out (grown when its capacity is short) and
-// returns it, or ErrInfeasible when total exceeds Σ Cap(i) or total < 0.
-// With a sufficiently large out it performs no allocation beyond what sys
-// itself does.
-func WaterFillInto(sys WaterSystem, total, tol float64, out []float64) ([]float64, error) {
-	if total < 0 {
-		return nil, ErrInfeasible
-	}
-	n := sys.Items()
-	var capSum float64
-	for i := 0; i < n; i++ {
-		capSum += sys.Cap(i)
-	}
-	if total > capSum*(1+1e-12)+tol {
-		return nil, ErrInfeasible
-	}
-	if cap(out) < n {
-		out = make([]float64, n)
-	}
-	out = out[:n]
-	if total == 0 {
-		for i := range out {
-			out[i] = 0
-		}
-		return out, nil
-	}
-	if total >= capSum {
-		for i := 0; i < n; i++ {
-			out[i] = sys.Cap(i)
-		}
-		return out, nil
-	}
-	bulk, _ := sys.(BulkWaterSystem)
-	sumAt := func(nu float64) float64 {
-		if bulk != nil {
-			return bulk.SumAlloc(nu)
-		}
-		var s float64
-		for i := 0; i < n; i++ {
-			s += sys.Alloc(i, nu)
-		}
-		return s
-	}
-	// Bracket ν: start from the largest Deriv(0) and expand geometrically
-	// until the aggregate allocation covers total.
-	nuLo, nuHi := math.Inf(1), math.Inf(-1)
-	for i := 0; i < n; i++ {
-		d0 := sys.Deriv(i, 0)
-		if d0 < nuLo {
-			nuLo = d0
-		}
-		if d0 > nuHi {
-			nuHi = d0
-		}
-	}
-	if nuHi <= nuLo {
-		nuHi = nuLo + 1
-	}
-	for iter := 0; sumAt(nuHi) < total && iter < 200; iter++ {
-		nuHi = nuLo + 2*(nuHi-nuLo)
-	}
-	nu := BisectMonotone(sumAt, total, nuLo, nuHi, (nuHi-nuLo)*1e-13, 120)
-	var got float64
-	if bulk != nil {
-		got = bulk.AllocInto(out, nu)
-	} else {
-		for i := 0; i < n; i++ {
-			out[i] = sys.Alloc(i, nu)
-			got += out[i]
-		}
-	}
-	// Repair the residual mismatch caused by finite bisection: spread it
-	// across coordinates with slack, preserving bounds.
-	resid := total - got
-	for pass := 0; pass < 4 && math.Abs(resid) > tol; pass++ {
-		for i := 0; i < n; i++ {
-			if resid > 0 {
-				room := sys.Cap(i) - out[i]
-				d := math.Min(room, resid)
-				out[i] += d
-				resid -= d
-			} else {
-				d := math.Min(out[i], -resid)
-				out[i] -= d
-				resid += d
-			}
-			if math.Abs(resid) <= tol {
-				break
-			}
-		}
-	}
-	return out, nil
 }

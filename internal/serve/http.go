@@ -157,9 +157,36 @@ func stepStatus(err error) int {
 	}
 }
 
-// maxDecideBody caps a /decide request body. A SlotInput is four numbers,
-// so this leaves ample room for whitespace and nothing else.
+// maxDecideBody caps a /decide request body, and each record of an
+// /ingest stream. A SlotInput is four numbers, so this leaves ample room
+// for whitespace and nothing else.
 const maxDecideBody = 64 << 10
+
+// errRecordTooLarge ends an /ingest stream whose next record runs past
+// maxDecideBody bytes.
+var errRecordTooLarge = fmt.Errorf("record exceeds %d bytes", maxDecideBody)
+
+// recordLimiter lets a stream decoder read at most limit bytes into the
+// stream. Before each record the caller moves limit to maxDecideBody past
+// the record's start, so one record can never make the decoder buffer
+// more than that, however long the stream runs.
+type recordLimiter struct {
+	r     io.Reader
+	read  int64 // bytes handed to the decoder so far
+	limit int64 // offset the decoder may not read past
+}
+
+func (l *recordLimiter) Read(p []byte) (int, error) {
+	if l.read >= l.limit {
+		return 0, errRecordTooLarge
+	}
+	if rest := l.limit - l.read; int64(len(p)) > rest {
+		p = p[:rest]
+	}
+	n, err := l.r.Read(p)
+	l.read += int64(n)
+	return n, err
+}
 
 // bodyStatus maps a request-body read error to an HTTP status: an
 // oversize body is 413, anything else the client sent is malformed.
@@ -202,8 +229,10 @@ func (s *Service) handleDecide(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(d)
 }
 
-// handleIngest drives the slot loop over an NDJSON request stream. The
-// first failing slot ends the stream with a trailing NDJSON error record
+// handleIngest drives the slot loop over an NDJSON request stream. Each
+// record is decoded by /decide's rules: at most maxDecideBody bytes and
+// no unknown fields. The first record that breaks them, or whose slot
+// fails, ends the stream with a trailing NDJSON error record
 // ({"error": ...}); earlier slots stay settled — exactly the semantics of
 // a partially consumed feed before a crash.
 func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -227,9 +256,12 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		_ = rc.Flush()
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	dec := json.NewDecoder(r.Body)
+	body := &recordLimiter{r: r.Body}
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
 	for {
 		var in SlotInput
+		body.limit = dec.InputOffset() + maxDecideBody
 		if err := dec.Decode(&in); err != nil {
 			if err == io.EOF {
 				return

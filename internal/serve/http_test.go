@@ -141,6 +141,73 @@ func TestHandlerIngestStream(t *testing.T) {
 	}
 }
 
+// TestHandlerIngestRecordRules pins that /ingest decodes each record by
+// /decide's rules: a record over the 64 KiB cap, or one carrying an
+// unknown field, ends the stream with an error record after the slots
+// before it settle, while a record padded to just under the cap decodes.
+func TestHandlerIngestRecordRules(t *testing.T) {
+	good := testSlots(t, 0, 1)[0]
+	line, err := json.Marshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oversize := string(line[:len(line)-1]) + strings.Repeat(" ", maxDecideBody) + "}"
+	unknown := string(line[:len(line)-1]) + `,"bogus":1}`
+	padded := string(line[:len(line)-1]) + strings.Repeat(" ", maxDecideBody-len(line)-1) + "}"
+	t.Run("padded under the cap", func(t *testing.T) {
+		_, srv := testServer(t)
+		body := string(line) + "\n" + padded + "\n" + string(line) + "\n"
+		resp, err := http.Post(srv.URL+"/ingest", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		n := 0
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if strings.Contains(sc.Text(), `"error"`) {
+				t.Fatalf("record %d: %s", n, sc.Text())
+			}
+			n++
+		}
+		if n != 3 {
+			t.Fatalf("got %d decisions, want 3", n)
+		}
+	})
+	for name, bad := range map[string]string{"oversize": oversize, "unknown field": unknown} {
+		t.Run(name, func(t *testing.T) {
+			s, srv := testServer(t)
+			body := string(line) + "\n" + bad + "\n" + string(line) + "\n"
+			resp, err := http.Post(srv.URL+"/ingest", "application/x-ndjson", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var lines []map[string]any
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() {
+				var m map[string]any
+				if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+					t.Fatal(err)
+				}
+				lines = append(lines, m)
+			}
+			if len(lines) != 2 {
+				t.Fatalf("got %d records %v, want one decision and an error", len(lines), lines)
+			}
+			if _, ok := lines[0]["error"]; ok {
+				t.Fatalf("first record is an error: %v", lines[0])
+			}
+			if _, ok := lines[1]["error"]; !ok {
+				t.Fatalf("second record is not an error: %v", lines[1])
+			}
+			if st := s.State(); st.Slot != 1 {
+				t.Fatalf("state slot %d, want 1", st.Slot)
+			}
+		})
+	}
+}
+
 func TestHandlerIngestErrorRecord(t *testing.T) {
 	s, srv := testServer(t)
 	good := testSlots(t, 0, 1)[0]

@@ -79,8 +79,9 @@ func (m *RunMetrics) Observer() sim.Observer {
 
 // SolveMetrics instruments a P3 solver (GSD): solve counts, iteration
 // and acceptance totals, early patience exits, warm-start cold
-// fallbacks, distributed dual-decomposition rounds, and the per-solve
-// wall-time distribution.
+// fallbacks, distributed dual-decomposition rounds, the load-split work
+// (water-fills and their sweeps), and the per-solve wall-time
+// distribution.
 type SolveMetrics struct {
 	Solves        *Counter
 	Iterations    *Counter
@@ -88,6 +89,8 @@ type SolveMetrics struct {
 	PatienceExits *Counter // solves stopped early by the patience criterion
 	ColdFallbacks *Counter // warm starts dropped (stale length or infeasible)
 	DualRounds    *Counter // dual-decomposition rounds (distributed engine only)
+	SplitFills    *Counter // load-split water-fills (sequential engine)
+	SplitSweeps   *Counter // O(n) group sweeps those fills spent (sequential engine)
 
 	SolveSeconds *Histogram // wall time per solve
 	ItersPerRun  *Histogram // iterations per solve (convergence effort)
@@ -103,6 +106,8 @@ func NewSolveMetrics(r *Registry, prefix string) *SolveMetrics {
 		PatienceExits: r.Counter(p + "patience_exits"),
 		ColdFallbacks: r.Counter(p + "cold_fallbacks"),
 		DualRounds:    r.Counter(p + "dual_rounds"),
+		SplitFills:    r.Counter(p + "split_fills"),
+		SplitSweeps:   r.Counter(p + "split_sweeps"),
 		SolveSeconds:  r.Histogram(p+"solve_seconds", ExpBuckets(1e-5, 4, 12)),
 		ItersPerRun:   r.Histogram(p+"iterations_per_solve", ExpBuckets(8, 2, 12)),
 	}
@@ -118,6 +123,13 @@ func (m *SolveMetrics) FinishSolve(iters, accepted int, patienceExit bool, secon
 	}
 	m.SolveSeconds.Observe(seconds)
 	m.ItersPerRun.Observe(float64(iters))
+}
+
+// AddSplitWork folds one solve's load-split work into the instruments:
+// the water-fills its load splits ran and the sweeps those fills spent.
+func (m *SolveMetrics) AddSplitWork(fills, sweeps int) {
+	m.SplitFills.Add(float64(fills))
+	m.SplitSweeps.Add(float64(sweeps))
 }
 
 // GeoSiteMetrics is one federation site's slice of GeoMetrics. The
@@ -286,6 +298,8 @@ type FleetMetrics struct {
 	shardPatience *LabeledCounter
 	shardCold     *LabeledCounter
 	shardDual     *LabeledCounter
+	shardFills    *LabeledCounter
+	shardSweeps   *LabeledCounter
 	shardSeconds  *LabeledHistogram
 	shardItersRun *LabeledHistogram
 
@@ -317,6 +331,8 @@ func NewFleetMetrics(r *Registry, prefix string) *FleetMetrics {
 		shardPatience: r.LabeledCounter(p+"shard.patience_exits", "solves stopped early by the patience criterion", "site"),
 		shardCold:     r.LabeledCounter(p+"shard.cold_fallbacks", "warm starts dropped by the site's shard", "site"),
 		shardDual:     r.LabeledCounter(p+"shard.dual_rounds", "dual-decomposition rounds run by the site's shard", "site"),
+		shardFills:    r.LabeledCounter(p+"shard.split_fills", "load-split water-fills run by the site's shard", "site"),
+		shardSweeps:   r.LabeledCounter(p+"shard.split_sweeps", "group sweeps spent by the site's shard's water-fills", "site"),
 		shardSeconds:  r.LabeledHistogram(p+"shard.solve_seconds", "wall time per shard solve", ExpBuckets(1e-5, 4, 12), "site"),
 		shardItersRun: r.LabeledHistogram(p+"shard.iterations_per_solve", "iterations per shard solve", ExpBuckets(8, 2, 12), "site"),
 
@@ -364,6 +380,8 @@ func (m *FleetMetrics) SiteSolveMetrics(name string) *SolveMetrics {
 		PatienceExits: m.shardPatience.With(name),
 		ColdFallbacks: m.shardCold.With(name),
 		DualRounds:    m.shardDual.With(name),
+		SplitFills:    m.shardFills.With(name),
+		SplitSweeps:   m.shardSweeps.With(name),
 		SolveSeconds:  m.shardSeconds.With(name),
 		ItersPerRun:   m.shardItersRun.With(name),
 	}
