@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -17,6 +19,34 @@ func buildScenario(t *testing.T, slots int) (*sim.Scenario, float64) {
 		t.Fatal(err)
 	}
 	return sc, refGrid
+}
+
+// TestGoldenUnawareRunHash pins four weeks of the Unaware policy on a
+// 2000-server scenario: an FNV-1a digest over the little-endian bits of
+// every slot's speed, servers, load, charges and energy figures.
+func TestGoldenUnawareRunHash(t *testing.T) {
+	const want = 0x84e3cd10ada72be5
+	sc, _, err := simtest.Build(simtest.Options{Slots: 28 * 24, N: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run(sc, NewUnaware(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, r := range res.Records {
+		for _, v := range []float64{float64(r.Slot), float64(r.Speed), float64(r.Active),
+			r.LambdaRPS, r.TotalUSD, r.ElectricityUSD, r.DelayUSD, r.SwitchUSD,
+			r.GridKWh, r.EnergyKWh, r.DeficitKWh} {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("unaware run hash fnv1a:%016x, want fnv1a:%016x", got, uint64(want))
+	}
 }
 
 func runPolicy(t *testing.T, sc *sim.Scenario, p sim.Policy) sim.Summary {

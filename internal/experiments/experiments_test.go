@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"io"
 	"math"
 	"strings"
@@ -112,6 +114,31 @@ func TestFig2ShapeMatchesPaper(t *testing.T) {
 	for i, v := range res.MovingAvgCost {
 		if math.IsNaN(v) || v < 0 {
 			t.Fatalf("moving avg cost[%d] = %v", i, v)
+		}
+	}
+}
+
+// TestGoldenFig2SweepHash pins the Fig. 2 V-sweep over 60 days on a
+// 2000-server fleet: an FNV-1a digest over the little-endian bits of each
+// row's V, cost, deficit and budget share, identical at one and two
+// workers.
+func TestGoldenFig2SweepHash(t *testing.T) {
+	const want = 0xcddedbf1a4a99d84
+	for _, workers := range []int{1, 2} {
+		res, err := Fig2(Config{Slots: 60 * 24, N: 2000, Seed: 2012, Workers: workers, Out: io.Discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, p := range res.Sweep {
+			for _, v := range []float64{p.V, p.AvgCostUSD, p.AvgDeficitKWh, p.BudgetUsed} {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+		}
+		if got := h.Sum64(); got != want {
+			t.Errorf("workers=%d: sweep hash fnv1a:%016x, want fnv1a:%016x", workers, got, uint64(want))
 		}
 	}
 }

@@ -1,10 +1,9 @@
 package geo
 
 import (
-	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
-	"math"
 	"strings"
 	"testing"
 
@@ -44,19 +43,11 @@ func makeFleetSites(k, groupsPerSite, serversPerGroup, slots int) []FleetSite {
 	return sites
 }
 
-// hashFleetOutcome folds a FleetStepOutcome into the FNV-1a digest the
-// bench gate uses: little-endian IEEE-754 bits of every computed number.
-func hashFleetOutcome(h interface{ Write([]byte) (int, error) }, out FleetStepOutcome) {
-	put := func(vs ...float64) {
-		var buf [8]byte
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-	}
-	put(out.TotalCostUSD, out.TotalGridKWh)
+// hashFleetOutcome folds every computed number of a FleetStepOutcome into h.
+func hashFleetOutcome(h hash.Hash64, out FleetStepOutcome) {
+	putFloats(h, out.TotalCostUSD, out.TotalGridKWh)
 	for _, so := range out.Sites {
-		put(so.LoadRPS, float64(so.Active), so.PowerKW,
+		putFloats(h, so.LoadRPS, float64(so.Active), so.PowerKW,
 			so.GridKWh, so.DelayCost, so.CostUSD, so.Value)
 	}
 }
@@ -86,10 +77,8 @@ func runFleetHash(t testing.TB, sites []FleetSite, slots, iters, workers int) ui
 		hashFleetOutcome(h, out)
 		f.Settle(out)
 	}
-	var buf [8]byte
 	for i := range sites {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f.Queue(i)))
-		h.Write(buf[:])
+		putFloats(h, f.Queue(i))
 	}
 	return h.Sum64()
 }
@@ -106,6 +95,34 @@ func TestFleetGoldenParityWorkers(t *testing.T) {
 		if seq != par {
 			t.Fatalf("fleet parallel step diverged at %d workers: seq %016x par %016x", workers, seq, par)
 		}
+	}
+}
+
+// TestFleetGoldenCells pins two fleet cells of 10-server groups over 4
+// slots with a 60-iteration GSD budget — 12 groups × 16 sites (1,920
+// servers) and 39 groups × 256 sites (99,840 servers) — to golden digests
+// at one and two workers.
+func TestFleetGoldenCells(t *testing.T) {
+	cells := []struct {
+		sites, groupsPerSite int
+		want                 uint64
+	}{
+		{16, 12, 0x27d1a8c3a2d1b5d0},
+		{256, 39, 0x5a340483ceaede43},
+	}
+	const slots, iters = 4, 60
+	for _, c := range cells {
+		t.Run(fmt.Sprintf("%dx%d", c.sites*c.groupsPerSite, c.sites), func(t *testing.T) {
+			if c.sites > 16 && testing.Short() {
+				t.Skip("99,840-server cell skipped in -short")
+			}
+			for _, workers := range []int{1, 2} {
+				got := runFleetHash(t, makeFleetSites(c.sites, c.groupsPerSite, 10, slots), slots, iters, workers)
+				if got != c.want {
+					t.Errorf("workers=%d: fleet hash fnv1a:%016x, want fnv1a:%016x", workers, got, c.want)
+				}
+			}
+		})
 	}
 }
 
@@ -233,10 +250,8 @@ func TestFleetInstrumentedParity(t *testing.T) {
 		}
 		f.Settle(out)
 	}
-	var buf [8]byte
 	for i := range sites {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f.Queue(i)))
-		h.Write(buf[:])
+		putFloats(h, f.Queue(i))
 	}
 	if got := h.Sum64(); got != base {
 		t.Fatalf("instrumentation changed outcomes: bare %016x instrumented %016x", base, got)

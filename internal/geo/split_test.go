@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"strings"
@@ -42,35 +43,74 @@ func makeSitesK(k, slots int) []FleetSite {
 	return sites
 }
 
-// hashOutcome folds a StepOutcome into an FNV-1a digest over the
-// little-endian IEEE-754 bits of every computed number — the
-// BENCH_engine.json recipe, so "bit-identical" means the same thing here
-// and in the bench gate.
-func hashOutcome(h interface{ Write([]byte) (int, error) }, out StepOutcome) {
-	put := func(vs ...float64) {
-		var buf [8]byte
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
+// putFloats folds vs into h as little-endian IEEE-754 bits, so a digest
+// over computed numbers is platform-independent.
+func putFloats(h hash.Hash64, vs ...float64) {
+	var buf [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
 	}
-	put(out.TotalCostUSD, out.TotalGridKWh)
+}
+
+// hashOutcome folds every computed number of a StepOutcome into h.
+func hashOutcome(h hash.Hash64, out StepOutcome) {
+	putFloats(h, out.TotalCostUSD, out.TotalGridKWh)
 	for _, so := range out.Sites {
-		put(so.LoadRPS, float64(so.Speed), float64(so.Active),
+		putFloats(h, so.LoadRPS, float64(so.Speed), float64(so.Active),
 			so.PowerKW, so.GridKWh, so.DelayCost, so.CostUSD)
 	}
 }
 
+// hashOutcomeCharges folds a StepOutcome's totals and each site's load,
+// speed, servers and charges into h, leaving out PowerKW and DelayCost.
+func hashOutcomeCharges(h hash.Hash64, out StepOutcome) {
+	putFloats(h, out.TotalCostUSD, out.TotalGridKWh)
+	for _, so := range out.Sites {
+		putFloats(h, so.LoadRPS, float64(so.Speed), float64(so.Active), so.CostUSD, so.GridKWh)
+	}
+}
+
+// largeSitesK is makeSitesK at 500–800 Opteron servers per site with ten
+// times the off-site energy and RECs.
+func largeSitesK(k, slots int) []FleetSite {
+	sites := makeSitesK(k, slots)
+	for i := range sites {
+		sites[i].Cluster = opteronCluster(500 + 100*(i%4))
+		sites[i].Portfolio.OffsiteKWh = trace.Constant("f", 20, slots)
+		sites[i].Portfolio.RECsKWh = float64(slots) * 30
+	}
+	return sites
+}
+
 // TestGoldenSplitParity pins the split hot path bit-for-bit: the naive
 // reference loop, the memoized sequential path and the memoized parallel
-// path (workers > 1) must produce FNV-identical outcomes slot after slot,
+// path (workers > 1) must all reproduce the golden digest slot after slot,
 // with the deficit queues fed back so any drift compounds and is caught.
 func TestGoldenSplitParity(t *testing.T) {
-	for _, k := range []int{4, 16} {
-		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			const slots = 12
+	ramp := func(capRPS float64, tt, slots int) float64 {
+		return capRPS * (0.15 + 0.6*float64(tt)/float64(slots))
+	}
+	wave := func(capRPS float64, tt, _ int) float64 {
+		return capRPS * (0.35 + 0.3*math.Sin(float64(tt)/7))
+	}
+	cases := []struct {
+		name  string
+		sites func(k, slots int) []FleetSite
+		k     int
+		slots int
+		load  func(capRPS float64, tt, slots int) float64
+		hash  func(hash.Hash64, StepOutcome)
+		want  uint64
+	}{
+		{"K=4", makeSitesK, 4, 12, ramp, hashOutcome, 0x0f7b421a181336af},
+		{"K=16", makeSitesK, 16, 12, ramp, hashOutcome, 0x2fa040a52c5c8cba},
+		{"K=16-large-96slots", largeSitesK, 16, 96, wave, hashOutcomeCharges, 0x4ebecbf49ca54a0c},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			mk := func() *System {
-				sys, err := NewSystem(makeSitesK(k, slots), 0.005, slots)
+				sys, err := NewSystem(tc.sites(tc.k, tc.slots), 0.005, tc.slots)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,9 +121,9 @@ func TestGoldenSplitParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			hn, hm, hp := fnv.New64a(), fnv.New64a(), fnv.New64a()
-			cap := naiveSys.TotalCapacityRPS()
-			for tt := 0; tt < slots; tt++ {
-				lambda := cap * (0.15 + 0.6*float64(tt)/slots)
+			capRPS := naiveSys.TotalCapacityRPS()
+			for tt := 0; tt < tc.slots; tt++ {
+				lambda := tc.load(capRPS, tt, tc.slots)
 				const v = 120
 				outN, _, err := naiveSys.stepNaive(lambda, v)
 				if err != nil {
@@ -100,18 +140,18 @@ func TestGoldenSplitParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				parSys.Settle(outP)
-				hashOutcome(hn, outN)
-				hashOutcome(hm, outM)
-				hashOutcome(hp, outP)
+				tc.hash(hn, outN)
+				tc.hash(hm, outM)
+				tc.hash(hp, outP)
 			}
-			naive, memo, par := hn.Sum64(), hm.Sum64(), hp.Sum64()
-			if memo != naive {
-				t.Errorf("memoized split hash %016x != naive reference %016x", memo, naive)
+			for _, arm := range []struct {
+				name string
+				got  uint64
+			}{{"naive", hn.Sum64()}, {"memoized", hm.Sum64()}, {"parallel", hp.Sum64()}} {
+				if arm.got != tc.want {
+					t.Errorf("%s split hash fnv1a:%016x, want fnv1a:%016x", arm.name, arm.got, tc.want)
+				}
 			}
-			if par != naive {
-				t.Errorf("parallel split hash %016x != naive reference %016x", par, naive)
-			}
-			t.Logf("golden split hash fnv1a:%016x (naive = memo = parallel)", naive)
 		})
 	}
 }

@@ -3,6 +3,7 @@ package gsd
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -31,11 +32,9 @@ func certified(t *testing.T, p *dcmodel.SlotProblem, res Result) Result {
 	return res
 }
 
-// hashRun digests a Result: Value, Iters, Accepted, Speeds, Load, History,
-// all as little-endian IEEE-754 bits through FNV-1a (the BENCH_engine.json
-// recipe).
-func hashRun(res Result) string {
-	h := fnv.New64a()
+// putRun folds a Result into h: Value, Iters, Accepted, Speeds, Load,
+// History, all as little-endian IEEE-754 bits.
+func putRun(h hash.Hash64, res Result) {
 	put := func(vs ...float64) {
 		var buf [8]byte
 		for _, v := range vs {
@@ -49,6 +48,12 @@ func hashRun(res Result) string {
 	}
 	put(res.Solution.Load...)
 	put(res.History...)
+}
+
+// hashRun is the FNV-1a digest of one Result.
+func hashRun(res Result) string {
+	h := fnv.New64a()
+	putRun(h, res)
 	return fmt.Sprintf("fnv1a:%016x", h.Sum64())
 }
 
@@ -72,8 +77,8 @@ func hashSolutions(sols []dcmodel.Solution) string {
 }
 
 // TestGoldenSolveHashes replays fixed seeded runs across the solver's
-// regimes — the BenchmarkGSD500Iters200Groups workload at two seeds, a
-// small kink-heavy problem, a heterogeneous cluster, and the Wd = 0
+// regimes — the BenchmarkGSD500Iters200Groups workload at two seeds and
+// as one digest over seeds 0–9, a small kink-heavy problem, a heterogeneous cluster, and the Wd = 0
 // fillNoDelay path — and requires the exact pre-optimization result bits.
 func TestGoldenSolveHashes(t *testing.T) {
 	paper := func(seed uint64) Result {
@@ -99,6 +104,13 @@ func TestGoldenSolveHashes(t *testing.T) {
 		}},
 		{"paper-seed7", "fnv1a:50d2c8ebc8877f23", func(t *testing.T) string {
 			return hashRun(paper(7))
+		}},
+		{"paper-seeds0-9", "fnv1a:718244d5eb8f4f6c", func(t *testing.T) string {
+			h := fnv.New64a()
+			for seed := uint64(0); seed < 10; seed++ {
+				putRun(h, paper(seed))
+			}
+			return fmt.Sprintf("fnv1a:%016x", h.Sum64())
 		}},
 		{"kink", "fnv1a:61ebb0fcf3886d3c", func(t *testing.T) string {
 			prob := smallProblem(6, 100)

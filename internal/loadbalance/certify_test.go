@@ -145,7 +145,7 @@ func TestDistributedMatchesCentralizedBits(t *testing.T) {
 			t.Fatal(err)
 		}
 		fills, sweeps := in.Work()
-		dist, rounds, err := SolveDistributedWorkers(p, speeds, 1+trial%3)
+		dist, rounds, err := SolveDistributedCounted(p, speeds)
 		if err != nil {
 			t.Fatal(err)
 		}

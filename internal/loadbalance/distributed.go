@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/dcmodel"
-	"repro/internal/workpool"
 )
 
 // ErrNeedsDelayWeight is returned by SolveDistributed when Wd = 0: with no
@@ -19,63 +18,37 @@ var ErrNeedsDelayWeight = errors.New("loadbalance: distributed solver requires W
 // paper references ([5], [27]). A fill costs one bracket round, in which
 // every agent reports the prices at which it would be empty and full, and
 // then one round per Newton step, in which every agent reports its load at
-// the announced price and that load's slope in the price. The agents used
-// to be one goroutine each; at fleet scale (10k+ groups per site) that is
-// 10k parked goroutines per solve, so a round now fans the queries across
-// a bounded worker pool — every agent writes only its own reply slot, so
-// the aggregate (summed in agent-index order) is identical under any
-// schedule, including the sequential workers <= 1 path, and identical to
-// the centralized fill.
+// the announced price and that load's slope in the price. A round queries
+// the agents in agent order and sums their replies in that order, so the
+// aggregate is identical to the centralized fill's.
 type distCoordinator struct {
-	in      *Instance
-	workers int           // pool width for a broadcast round; <=1 sequential
-	terms   []bracketTerm // per-agent reply to a bracket round
-	loads   []float64     // per-agent reply: load accepted at the announced price
-	slopes  []float64     // per-agent reply: that load's slope in the price
-}
-
-func newDistCoordinator(in *Instance, workers int) *distCoordinator {
-	n := len(in.gIdx)
-	return &distCoordinator{
-		in:      in,
-		workers: workers,
-		terms:   make([]bracketTerm, n),
-		loads:   make([]float64, n),
-		slopes:  make([]float64, n),
-	}
+	in *Instance
 }
 
 // bracket broadcasts ω and folds the agents' bracket replies in agent order.
-func (d *distCoordinator) bracket(omega float64) fillBracket {
-	in := d.in
-	workpool.Fan(d.workers, len(d.terms), func(agent int) {
-		d.terms[agent] = in.bracketTerm(agent, omega)
-	})
+func (d distCoordinator) bracket(omega float64) fillBracket {
 	b := newFillBracket()
-	for _, t := range d.terms {
-		b.add(t)
+	for agent := range d.in.gIdx {
+		b.add(d.in.bracketTerm(agent, omega))
 	}
 	return b
 }
 
-// sweep broadcasts one (ω, ν) price, copies the agents' loads into dst and
-// returns their agent-ordered sum and slope sum.
-func (d *distCoordinator) sweep(dst []float64, omega, nu float64) (sum, slope float64) {
-	in := d.in
-	workpool.Fan(d.workers, len(d.loads), func(agent int) {
-		d.loads[agent], d.slopes[agent] = in.allocSlope(agent, omega, nu)
-	})
-	for i, l := range d.loads {
-		dst[i] = l
+// sweep broadcasts one (ω, ν) price, writes each agent's load into its
+// slot of dst and returns their agent-ordered sum and slope sum.
+func (d distCoordinator) sweep(dst []float64, omega, nu float64) (sum, slope float64) {
+	for agent := range dst {
+		l, dl := d.in.allocSlope(agent, omega, nu)
+		dst[agent] = l
 		sum += l
-		slope += d.slopes[i]
+		slope += dl
 	}
 	return sum, slope
 }
 
 // fillInto runs one distributed water-fill. It implements the filler
 // interface solveWith drives; dst is reused when large enough.
-func (d *distCoordinator) fillInto(dst []float64, omega float64) ([]float64, error) {
+func (d distCoordinator) fillInto(dst []float64, omega float64) ([]float64, error) {
 	return d.in.waterFill(d, dst, omega)
 }
 
@@ -93,15 +66,6 @@ func SolveDistributed(p *dcmodel.SlotProblem, speeds []int) (dcmodel.Solution, e
 // plus the Newton rounds of each fill, summed over every ω the outer search
 // tried) — the message cost a real deployment would pay per load split.
 func SolveDistributedCounted(p *dcmodel.SlotProblem, speeds []int) (dcmodel.Solution, int, error) {
-	return SolveDistributedWorkers(p, speeds, 1)
-}
-
-// SolveDistributedWorkers is SolveDistributedCounted with the agent replies
-// of each broadcast round fanned across up to `workers` goroutines.
-// workers <= 1 runs rounds sequentially; every width produces bit-for-bit
-// the same solution and round count, since agents only ever write their own
-// reply slot and the coordinator aggregates in agent-index order.
-func SolveDistributedWorkers(p *dcmodel.SlotProblem, speeds []int, workers int) (dcmodel.Solution, int, error) {
 	if p.Wd <= 0 {
 		return dcmodel.Solution{}, 0, ErrNeedsDelayWeight
 	}
@@ -109,7 +73,7 @@ func SolveDistributedWorkers(p *dcmodel.SlotProblem, speeds []int, workers int) 
 	if err != nil {
 		return dcmodel.Solution{}, 0, err
 	}
-	loads, err := in.solveWith(newDistCoordinator(in, workers))
+	loads, err := in.solveWith(distCoordinator{in})
 	_, rounds := in.Work()
 	if err != nil {
 		return dcmodel.Solution{}, rounds, err

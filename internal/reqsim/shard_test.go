@@ -1,6 +1,9 @@
 package reqsim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 )
 
@@ -27,6 +30,35 @@ func TestRunShardedSingleShardParity(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("RunSharded(cfg, 1) diverged from Run:\nsharded %+v\nplain   %+v", got, want)
+	}
+}
+
+// TestGoldenShardedHash pins a 16-shard ρ = 0.7 exponential replay: an
+// FNV-1a digest over the little-endian bits of the merged Result's
+// counters and float aggregates, at one and two workers.
+func TestGoldenShardedHash(t *testing.T) {
+	const want = 0xe87ab8489da34002
+	cfg := Config{
+		ArrivalRPS: 7, ServiceRPS: 10, Service: ExponentialService(1),
+		Horizon: 3000, Warmup: 100, Seed: 2012,
+	}
+	for _, workers := range []int{1, 2} {
+		r, err := NewPool(workers).RunSharded(cfg, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, v := range []float64{float64(r.Arrived), float64(r.Admitted), float64(r.Dropped),
+			float64(r.Completed), float64(r.Events), float64(r.MaxInSystem),
+			r.MeanJobs, r.MeanRespSec, r.UtilFraction, r.P50Sec, r.P95Sec, r.P99Sec,
+			r.AreaJobsSec, r.MeasuredSec, r.BusySec, r.RespSumSec} {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+		if got := h.Sum64(); got != want {
+			t.Errorf("workers=%d: sharded hash fnv1a:%016x, want fnv1a:%016x", workers, got, uint64(want))
+		}
 	}
 }
 
