@@ -77,21 +77,23 @@ func hashSolutions(sols []dcmodel.Solution) string {
 }
 
 // TestGoldenSolveHashes replays fixed seeded runs across the solver's
-// regimes — the BenchmarkGSD500Iters200Groups workload at two seeds and
-// as one digest over seeds 0–9, a small kink-heavy problem, a heterogeneous cluster, and the Wd = 0
-// fillNoDelay path — and requires the exact pre-optimization result bits.
+// regimes — the BenchmarkGSD500Iters200Groups workload at seeds 0 and 7
+// and as one digest over seeds 0–9, a small kink-heavy problem, a
+// heterogeneous cluster, and the Wd = 0 fillNoDelay path — and requires
+// the exact pre-optimization result bits.
 func TestGoldenSolveHashes(t *testing.T) {
-	paper := func(seed uint64) Result {
-		cluster := dcmodel.PaperCluster(200)
-		prob := &dcmodel.SlotProblem{
-			Cluster: cluster, LambdaRPS: 0.3 * cluster.MaxCapacityRPS(),
-			We: 0.05, Wd: 0.02,
-		}
-		res, err := Solve(prob, Options{Delta: 1e8, MaxIters: 500, Seed: seed})
+	cluster := dcmodel.PaperCluster(200)
+	prob := &dcmodel.SlotProblem{
+		Cluster: cluster, LambdaRPS: 0.3 * cluster.MaxCapacityRPS(),
+		We: 0.05, Wd: 0.02,
+	}
+	paper := make([]Result, 10)
+	for seed := range paper {
+		res, err := Solve(prob, Options{Delta: 1e8, MaxIters: 500, Seed: uint64(seed)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return certified(t, prob, res)
+		paper[seed] = certified(t, prob, res)
 	}
 
 	cases := []struct {
@@ -100,15 +102,15 @@ func TestGoldenSolveHashes(t *testing.T) {
 		run  func(t *testing.T) string
 	}{
 		{"paper-seed0", "fnv1a:d8e1347c731ea9e9", func(t *testing.T) string {
-			return hashRun(paper(0))
+			return hashRun(paper[0])
 		}},
 		{"paper-seed7", "fnv1a:50d2c8ebc8877f23", func(t *testing.T) string {
-			return hashRun(paper(7))
+			return hashRun(paper[7])
 		}},
 		{"paper-seeds0-9", "fnv1a:718244d5eb8f4f6c", func(t *testing.T) string {
 			h := fnv.New64a()
-			for seed := uint64(0); seed < 10; seed++ {
-				putRun(h, paper(seed))
+			for _, res := range paper {
+				putRun(h, res)
 			}
 			return fmt.Sprintf("fnv1a:%016x", h.Sum64())
 		}},

@@ -11,47 +11,6 @@ import (
 // price-only protocol cannot break ties; use the centralized Solve instead.
 var ErrNeedsDelayWeight = errors.New("loadbalance: distributed solver requires Wd > 0")
 
-// distCoordinator runs the water-fill's price iteration by broadcasting
-// (ω, ν) price signals to the server groups and aggregating their replies.
-// Each group is an autonomous agent: it answers a price query from nothing
-// but its own parameters, mirroring the dual-decomposition structure the
-// paper references ([5], [27]). A fill costs one bracket round, in which
-// every agent reports the prices at which it would be empty and full, and
-// then one round per Newton step, in which every agent reports its load at
-// the announced price and that load's slope in the price. A round queries
-// the agents in agent order and sums their replies in that order, so the
-// aggregate is identical to the centralized fill's.
-type distCoordinator struct {
-	in *Instance
-}
-
-// bracket broadcasts ω and folds the agents' bracket replies in agent order.
-func (d distCoordinator) bracket(omega float64) fillBracket {
-	b := newFillBracket()
-	for agent := range d.in.gIdx {
-		b.add(d.in.bracketTerm(agent, omega))
-	}
-	return b
-}
-
-// sweep broadcasts one (ω, ν) price, writes each agent's load into its
-// slot of dst and returns their agent-ordered sum and slope sum.
-func (d distCoordinator) sweep(dst []float64, omega, nu float64) (sum, slope float64) {
-	for agent := range dst {
-		l, dl := d.in.allocSlope(agent, omega, nu)
-		dst[agent] = l
-		sum += l
-		slope += dl
-	}
-	return sum, slope
-}
-
-// fillInto runs one distributed water-fill. It implements the filler
-// interface solveWith drives; dst is reused when large enough.
-func (d distCoordinator) fillInto(dst []float64, omega float64) ([]float64, error) {
-	return d.in.waterFill(d, dst, omega)
-}
-
 // SolveDistributed computes the same optimum as Solve but via the
 // dual-decomposition price protocol: every server group answers price
 // broadcasts from its own parameters only. The regime analysis on the [·]^+
@@ -62,9 +21,21 @@ func SolveDistributed(p *dcmodel.SlotProblem, speeds []int) (dcmodel.Solution, e
 }
 
 // SolveDistributedCounted is SolveDistributed, additionally reporting the
-// number of price broadcast rounds the dual protocol spent (a bracket round
-// plus the Newton rounds of each fill, summed over every ω the outer search
-// tried) — the message cost a real deployment would pay per load split.
+// number of price broadcast rounds the dual protocol spent — the message
+// cost a real deployment would pay per load split.
+//
+// A coordinator broadcasts (ω, ν) price signals to the server groups and
+// sums their replies. Each group is an autonomous agent that answers a
+// price query from nothing but its own parameters, mirroring the
+// dual-decomposition structure the paper references ([5], [27]). A fill
+// costs one bracket round, in which every agent reports the prices at which
+// it would be empty and full, and then one round per Newton step, in which
+// every agent reports its load at the announced price and that load's slope
+// in the price. These rounds are exactly the Instance's bracket and sweep
+// passes (bracketTerm and allocSlope per group, summed in group order), so
+// the protocol runs them directly: the loads are bit-identical to Solve's
+// and the round count is the Instance's sweep count, summed over every ω
+// the outer search tried.
 func SolveDistributedCounted(p *dcmodel.SlotProblem, speeds []int) (dcmodel.Solution, int, error) {
 	if p.Wd <= 0 {
 		return dcmodel.Solution{}, 0, ErrNeedsDelayWeight
@@ -73,7 +44,7 @@ func SolveDistributedCounted(p *dcmodel.SlotProblem, speeds []int) (dcmodel.Solu
 	if err != nil {
 		return dcmodel.Solution{}, 0, err
 	}
-	loads, err := in.solveWith(distCoordinator{in})
+	loads, err := in.solve()
 	_, rounds := in.Work()
 	if err != nil {
 		return dcmodel.Solution{}, rounds, err

@@ -507,17 +507,8 @@ func (b *fillBracket) start(target float64) float64 {
 	return b.floor + k*k
 }
 
-// sweeper evaluates a water-fill: bracket runs the bracket pass and sweep
-// writes every group's load at one price into dst, returning Σ L and
-// Σ dL/dν. The Instance loops over its groups; the distributed
-// coordinator broadcasts the price and gathers its agents' replies. Both
-// use bracketTerm and allocSlope per group and accumulate in ascending
-// group order, so the centralized and distributed fills are bit-identical.
-type sweeper interface {
-	bracket(omega float64) fillBracket
-	sweep(dst []float64, omega, nu float64) (sum, slope float64)
-}
-
+// bracket folds every group's bracket term, in ascending group order, into
+// the price bracket of one water-fill at electricity weight omega.
 func (in *Instance) bracket(omega float64) fillBracket {
 	b := newFillBracket()
 	for i := range in.gIdx {
@@ -526,6 +517,8 @@ func (in *Instance) bracket(omega float64) fillBracket {
 	return b
 }
 
+// sweep writes every group's load at price nu into dst and returns Σ L and
+// Σ dL/dν, accumulated in ascending group order.
 func (in *Instance) sweep(dst []float64, omega, nu float64) (sum, slope float64) {
 	for i := range dst {
 		l, dl := in.allocSlope(i, omega, nu)
@@ -536,22 +529,13 @@ func (in *Instance) sweep(dst []float64, omega, nu float64) (sum, slope float64)
 	return sum, slope
 }
 
-// filler computes one water-filling for a fixed electricity weight, writing
-// per-instance-group loads into dst (implementations may return a different
-// slice when dst is short). The centralized Instance and the distributed
-// price-protocol coordinator both implement it, so solveWith runs the
-// identical regime analysis over either.
-type filler interface {
-	fillInto(dst []float64, omega float64) ([]float64, error)
-}
-
 // fillInto water-fills the total load across groups under electricity weight
 // omega, writing per-instance-group loads into dst.
 func (in *Instance) fillInto(dst []float64, omega float64) ([]float64, error) {
 	if in.prob.Wd <= 0 {
 		return in.fillNoDelayInto(dst, omega), nil
 	}
-	return in.waterFill(in, dst, omega)
+	return in.waterFill(dst, omega)
 }
 
 // fill is the allocating form of fillInto, kept for white-box tests and
@@ -561,13 +545,13 @@ func (in *Instance) fill(omega float64) ([]float64, error) {
 }
 
 // waterFill solves Σ_g L_g(ν) = λ for the dual price ν under electricity
-// weight omega (Wd > 0) with sw's sweeps, writing the loads into dst
+// weight omega (Wd > 0) by Newton sweeps, writing the loads into dst
 // (grown when short). numopt.NewtonBracket runs on the exact bracket from
 // the all-interior start and returns the last price it swept, so dst
 // already holds that price's loads; the remaining residual (at most
 // fillRelTol·λ unless the bracket collapsed first) is repaired against the
 // groups' γ-cap headroom.
-func (in *Instance) waterFill(sw sweeper, dst []float64, omega float64) ([]float64, error) {
+func (in *Instance) waterFill(dst []float64, omega float64) ([]float64, error) {
 	n := len(in.gIdx)
 	if cap(dst) < n {
 		dst = make([]float64, n)
@@ -583,12 +567,12 @@ func (in *Instance) waterFill(sw sweeper, dst []float64, omega float64) ([]float
 		copy(dst, in.gCap)
 		return dst, nil
 	}
-	b := sw.bracket(omega)
+	b := in.bracket(omega)
 	in.sweeps++
 	var got float64
 	numopt.NewtonBracket(func(nu float64) (float64, float64) {
 		in.sweeps++
-		sum, slope := sw.sweep(dst, omega, nu)
+		sum, slope := in.sweep(dst, omega, nu)
 		got = sum
 		return sum, slope
 	}, target, b.lo, b.hi, b.start(target), fillRelTol*target, (b.hi-b.lo)*1e-13, 100)
@@ -700,7 +684,7 @@ func (in *Instance) SolveInto(dst *dcmodel.Solution) error {
 	if in.prob.LambdaRPS > in.capSum*(1+1e-12) {
 		return ErrInfeasible
 	}
-	loads, err := in.solveWith(in)
+	loads, err := in.solve()
 	if err != nil {
 		return err
 	}
@@ -710,11 +694,10 @@ func (in *Instance) SolveInto(dst *dcmodel.Solution) error {
 	return nil
 }
 
-// solveWith runs the regime analysis with a pluggable filler so the
-// distributed solver can reuse the identical logic. The returned slice
+// solve runs the regime analysis around the [p−r]⁺ kink. The returned slice
 // aliases the instance's scratch buffers; callers consume or copy it before
 // the next solve.
-func (in *Instance) solveWith(f filler) ([]float64, error) {
+func (in *Instance) solve() ([]float64, error) {
 	if len(in.gIdx) == 0 {
 		if in.prob.LambdaRPS > 0 {
 			return nil, ErrInfeasible
@@ -723,7 +706,7 @@ func (in *Instance) solveWith(f filler) ([]float64, error) {
 	}
 	r := in.prob.OnsiteKW
 	// Regime "grid": electricity weight fully active.
-	gridLoads, err := f.fillInto(in.scratch.grid, in.prob.We)
+	gridLoads, err := in.fillInto(in.scratch.grid, in.prob.We)
 	if err != nil {
 		return nil, err
 	}
@@ -734,7 +717,7 @@ func (in *Instance) solveWith(f filler) ([]float64, error) {
 	}
 	// Regime "surplus": on-site renewables cover everything; electricity
 	// weight vanishes under the [·]^+.
-	freeLoads, err := f.fillInto(in.scratch.free, 0)
+	freeLoads, err := in.fillInto(in.scratch.free, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -751,7 +734,7 @@ func (in *Instance) solveWith(f filler) ([]float64, error) {
 	// holding the returned weight's loads. A failed fill returns r, which
 	// ends the search at once.
 	numopt.FalsePosition(func(w float64) float64 {
-		loads, ferr := f.fillInto(in.scratch.kink, w)
+		loads, ferr := in.fillInto(in.scratch.kink, w)
 		if ferr != nil {
 			err = ferr
 			return r

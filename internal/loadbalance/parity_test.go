@@ -201,7 +201,7 @@ func (r *refSolver) powerOf(loads []float64) float64 {
 	return p
 }
 
-// solve runs the regime analysis of solveWith over the old layout.
+// solve runs the regime analysis of Instance.solve over the old layout.
 func (r *refSolver) solve() (dcmodel.Solution, error) {
 	if r.p.LambdaRPS > r.capSum*(1+1e-12) {
 		return dcmodel.Solution{}, ErrInfeasible
