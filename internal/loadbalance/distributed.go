@@ -28,14 +28,15 @@ func SolveDistributed(p *dcmodel.SlotProblem, speeds []int) (dcmodel.Solution, e
 // sums their replies. Each group is an autonomous agent that answers a
 // price query from nothing but its own parameters, mirroring the
 // dual-decomposition structure the paper references ([5], [27]). A fill
-// costs one bracket round, in which every agent reports the prices at which
-// it would be empty and full, and then one round per Newton step, in which
-// every agent reports its load at the announced price and that load's slope
-// in the price. These rounds are exactly the Instance's bracket and sweep
-// passes (bracketTerm and allocSlope per group, summed in group order), so
-// the protocol runs them directly: the loads are bit-identical to Solve's
-// and the round count is the Instance's sweep count, summed over every ω
-// the outer search tried.
+// costs one bracket round, in which every agent answers the announced ω
+// with ω·A plus the delay prices at which it would be empty and full (both
+// fixed by its own parameters, so it keeps them cached), and then one round
+// per Newton step, in which every agent reports its load at the announced
+// price and that load's slope in the price. These rounds are exactly the
+// Instance's bracket and sweep passes (folded and summed in group order),
+// so the protocol runs them directly: the loads are bit-identical to
+// Solve's and the round count is the Instance's sweep count, summed over
+// every ω the outer search tried.
 func SolveDistributedCounted(p *dcmodel.SlotProblem, speeds []int) (dcmodel.Solution, int, error) {
 	if p.Wd <= 0 {
 		return dcmodel.Solution{}, 0, ErrNeedsDelayWeight

@@ -20,7 +20,10 @@
 // yields both Σ L_g and its derivative. The bracket is exact — from the
 // price at which the first group starts to take load to the price at which
 // the last one is full — and the start is the closed-form price at which
-// every group would be interior. A fill takes about 6–7 sweeps (one bracket
+// every group would be interior. Only the ω·A term of those prices depends
+// on the fill, so each group caches its delay prices at load 0 and at the
+// cap and sqrt(Wd·n·R), and the bracket pass is a division-free fold of
+// ω·A plus the cached terms. A fill takes about 5–7 sweeps (one bracket
 // pass plus the Newton evaluations) and a kink split about 8–9 fills, the
 // grid and surplus probes included.
 //
@@ -36,10 +39,11 @@
 // of rebuilding the subproblem 200·n times per slot.
 //
 // The per-group constants live in a struct-of-arrays layout (parallel
-// gIdx/gN/gRate/gSlope/gCap slices over the on groups, backed by the
-// cluster's cached dcmodel.ClusterArrays): the water-fill and sweep inner
-// loops walk flat float64 arrays instead of pointer-chasing group structs,
-// which keeps them cache-linear at fleet scale (10k+ groups per site).
+// slices over the on groups, carved from one int and one float64 backing
+// slab and built from the cluster's cached dcmodel.ClusterArrays): the
+// water-fill and sweep inner loops walk flat float64 arrays instead of
+// pointer-chasing group structs, which keeps them cache-linear at fleet
+// scale (10k+ groups per site).
 package loadbalance
 
 import (
@@ -61,24 +65,43 @@ var ErrInfeasible = errors.New("loadbalance: load exceeds configuration capacity
 // Instance's parallel slices; entry/setEntry convert between the two views.
 type group struct {
 	idx     int     // index into the cluster's group list
-	n       float64 // number of servers
 	rate    float64 // R = n·x: aggregate service rate
 	slopeKW float64 // A = PUE·p_c(x)/x: marginal facility power per RPS
 	cap     float64 // γ·R: maximum allowed load
+	wnr     float64 // Wd·n·R: the delay cost's scale
+	empty   float64 // Wd·n·R/R²: delay price at load 0
+	full    float64 // Wd·n·R/(R−γ·R)²: delay price at the cap, +Inf when R ≤ γ·R
+	root    float64 // sqrt(Wd·n·R)
 }
 
 // makeGroup builds the prepared constants for cluster group g at speed k > 0
 // from the cluster's flat arrays, with exactly the arithmetic NewInstance has
 // always used (the arrays store RateAt/PowerSlopeKWPerRPS values verbatim).
+// The delay terms do not depend on a fill's electricity weight ω, so the
+// bracket and sweep passes read them instead of deriving them per fill.
 func (in *Instance) makeGroup(g, k int) group {
 	r := in.arr.Rate(g, k)
+	c := in.prob.Cluster.Gamma * r
+	wnr := in.prob.Wd * in.arr.N[g] * r
 	return group{
 		idx:     g,
-		n:       in.arr.N[g],
 		rate:    r,
 		slopeKW: in.prob.Cluster.PUE * in.arr.Slope(g, k),
-		cap:     in.prob.Cluster.Gamma * r,
+		cap:     c,
+		wnr:     wnr,
+		empty:   delayPrice(wnr, r),
+		full:    delayPrice(wnr, r-c),
+		root:    math.Sqrt(wnr),
 	}
+}
+
+// delayPrice is a group's marginal delay cost Wd·n·R/(R−L)² at headroom
+// R − L = den, or +Inf when the group has no headroom left.
+func delayPrice(wnr, den float64) float64 {
+	if den <= 0 {
+		return math.Inf(1)
+	}
+	return wnr / (den * den)
 }
 
 // undoKind describes the structural effect of the last SetSpeed.
@@ -105,6 +128,7 @@ type undoRecord struct {
 	baseKW  float64
 	capSum  float64
 	rateSum float64
+	rootSum float64
 }
 
 // orderCache memoizes the fillNoDelay group ordering. The sort key is
@@ -165,18 +189,28 @@ type solveScratch struct {
 // mutate the prepared state incrementally, and SolveInto reuses both the
 // caller's Solution buffers and the instance's internal scratch, so the
 // steady-state proposal loop performs no heap allocation.
+//
+// The per-group columns snapshot the problem's PUE, γ and Wd when Reset or
+// SetSpeed builds them. A caller that edits the SlotProblem in place (as
+// geo.Fleet rewrites its per-site problems every slot) must Reset the
+// instance before solving it again; λ, We and the on-site supply are read
+// live.
 type Instance struct {
 	prob   *dcmodel.SlotProblem
 	arr    *dcmodel.ClusterArrays
 	speeds []int // owned copy of the current speed vector
 
 	// On groups in struct-of-arrays layout, ascending cluster index. The
-	// five slices are parallel: position i describes one on group.
-	gIdx   []int     // cluster group index
-	gN     []float64 // float64(n_g)
-	gRate  []float64 // R = n·x
-	gSlope []float64 // A = PUE·p_c(x)/x
-	gCap   []float64 // γ·R
+	// slices are parallel: position i describes one on group (see group
+	// for what each column holds).
+	gIdx   []int
+	gRate  []float64
+	gSlope []float64
+	gCap   []float64
+	gWNR   []float64
+	gEmpty []float64
+	gFull  []float64
+	gRoot  []float64
 
 	pos    []int     // cluster group index -> position in the slices, -1 when off
 	static []float64 // per cluster group: PUE·n·StaticKW, speed-independent
@@ -189,6 +223,7 @@ type Instance struct {
 	baseKW  float64 // PUE · Σ static power of on groups (load-independent)
 	capSum  float64 // Σ γ·R of on groups (the feasibility bound NewInstance checks)
 	rateSum float64 // Σ R of on groups (Cluster.UsableCapacityRPS before the γ factor)
+	rootSum float64 // Σ sqrt(Wd·n·R) of on groups (a fill's all-interior start)
 
 	undo    undoRecord
 	order   orderCache
@@ -225,21 +260,11 @@ func (in *Instance) Reset(p *dcmodel.SlotProblem, speeds []int) error {
 	in.arr = p.Cluster.Arrays()
 	in.speeds = append(in.speeds[:0], speeds...)
 	if cap(in.pos) < n {
-		in.pos = make([]int, 0, n)
-		in.static = make([]float64, 0, n)
+		in.carve(n)
 	}
-	in.pos = in.pos[:n]
-	in.static = in.static[:n]
-	if cap(in.gIdx) < n {
-		in.gIdx = make([]int, 0, n)
-		in.gN = make([]float64, 0, n)
-		in.gRate = make([]float64, 0, n)
-		in.gSlope = make([]float64, 0, n)
-		in.gCap = make([]float64, 0, n)
-	} else {
-		in.gIdx, in.gN, in.gRate, in.gSlope, in.gCap =
-			in.gIdx[:0], in.gN[:0], in.gRate[:0], in.gSlope[:0], in.gCap[:0]
-	}
+	in.pos, in.static = in.pos[:n], in.static[:n]
+	in.gIdx, in.gRate, in.gSlope, in.gCap = in.gIdx[:0], in.gRate[:0], in.gSlope[:0], in.gCap[:0]
+	in.gWNR, in.gEmpty, in.gFull, in.gRoot = in.gWNR[:0], in.gEmpty[:0], in.gFull[:0], in.gRoot[:0]
 	in.undo.valid = false
 	for g := range p.Cluster.Groups {
 		k := speeds[g]
@@ -261,27 +286,43 @@ func (in *Instance) Reset(p *dcmodel.SlotProblem, speeds []int) error {
 	return nil
 }
 
+// carve allocates the per-group columns for a cluster of n groups: the int
+// columns share one backing slab and the float64 columns another, each
+// column holding capacity n so appends never spill into its neighbour.
+func (in *Instance) carve(n int) {
+	ints := make([]int, 2*n)
+	in.pos, in.gIdx = ints[:0:n], ints[n:n:2*n]
+	floats := make([]float64, 8*n)
+	col := func(c int) []float64 { return floats[c*n : c*n : (c+1)*n] }
+	in.static = col(0)
+	in.gRate, in.gSlope, in.gCap = col(1), col(2), col(3)
+	in.gWNR, in.gEmpty, in.gFull, in.gRoot = col(4), col(5), col(6), col(7)
+}
+
 // appendEntry pushes one on group onto the end of the parallel slices.
 func (in *Instance) appendEntry(e group) {
 	in.gIdx = append(in.gIdx, e.idx)
-	in.gN = append(in.gN, e.n)
 	in.gRate = append(in.gRate, e.rate)
 	in.gSlope = append(in.gSlope, e.slopeKW)
 	in.gCap = append(in.gCap, e.cap)
+	in.gWNR = append(in.gWNR, e.wnr)
+	in.gEmpty = append(in.gEmpty, e.empty)
+	in.gFull = append(in.gFull, e.full)
+	in.gRoot = append(in.gRoot, e.root)
 }
 
 // entry gathers position p of the parallel slices back into a struct.
 func (in *Instance) entry(p int) group {
 	return group{
-		idx: in.gIdx[p], n: in.gN[p], rate: in.gRate[p],
-		slopeKW: in.gSlope[p], cap: in.gCap[p],
+		idx: in.gIdx[p], rate: in.gRate[p], slopeKW: in.gSlope[p], cap: in.gCap[p],
+		wnr: in.gWNR[p], empty: in.gEmpty[p], full: in.gFull[p], root: in.gRoot[p],
 	}
 }
 
 // setEntry scatters e into position p of the parallel slices.
 func (in *Instance) setEntry(p int, e group) {
-	in.gIdx[p], in.gN[p], in.gRate[p], in.gSlope[p], in.gCap[p] =
-		e.idx, e.n, e.rate, e.slopeKW, e.cap
+	in.gIdx[p], in.gRate[p], in.gSlope[p], in.gCap[p] = e.idx, e.rate, e.slopeKW, e.cap
+	in.gWNR[p], in.gEmpty[p], in.gFull[p], in.gRoot[p] = e.wnr, e.empty, e.full, e.root
 }
 
 // recompute refreshes the tracked aggregates as fresh sums over the on
@@ -289,13 +330,14 @@ func (in *Instance) setEntry(p int, e group) {
 // from-scratch NewInstance (off groups contribute an exact +0 there, which
 // is an identity), so the values are bit-for-bit reproducible.
 func (in *Instance) recompute() {
-	var base, caps, rates float64
+	var base, caps, rates, roots float64
 	for i := range in.gIdx {
 		base += in.static[in.gIdx[i]]
 		caps += in.gCap[i]
 		rates += in.gRate[i]
+		roots += in.gRoot[i]
 	}
-	in.baseKW, in.capSum, in.rateSum = base, caps, rates
+	in.baseKW, in.capSum, in.rateSum, in.rootSum = base, caps, rates, roots
 	in.order.valid = false
 }
 
@@ -335,7 +377,7 @@ func (in *Instance) SetSpeed(g, k int) error {
 	old := in.speeds[g]
 	in.undo = undoRecord{
 		valid: true, kind: undoNone, g: g, oldK: old,
-		baseKW: in.baseKW, capSum: in.capSum, rateSum: in.rateSum,
+		baseKW: in.baseKW, capSum: in.capSum, rateSum: in.rateSum, rootSum: in.rootSum,
 	}
 	if k == old {
 		return nil
@@ -379,7 +421,7 @@ func (in *Instance) Revert() {
 	case undoInsert:
 		in.removeAt(u.pos)
 	}
-	in.baseKW, in.capSum, in.rateSum = u.baseKW, u.capSum, u.rateSum
+	in.baseKW, in.capSum, in.rateSum, in.rootSum = u.baseKW, u.capSum, u.rateSum, u.rootSum
 	in.order.valid = false
 }
 
@@ -404,10 +446,9 @@ func (in *Instance) insertPos(g int) int {
 func (in *Instance) insertAt(p int, e group) {
 	in.appendEntry(group{})
 	copy(in.gIdx[p+1:], in.gIdx[p:])
-	copy(in.gN[p+1:], in.gN[p:])
-	copy(in.gRate[p+1:], in.gRate[p:])
-	copy(in.gSlope[p+1:], in.gSlope[p:])
-	copy(in.gCap[p+1:], in.gCap[p:])
+	for _, c := range in.floatCols() {
+		copy(c[p+1:], c[p:])
+	}
 	in.setEntry(p, e)
 	for i := p; i < len(in.gIdx); i++ {
 		in.pos[in.gIdx[i]] = i
@@ -417,27 +458,22 @@ func (in *Instance) insertAt(p int, e group) {
 func (in *Instance) removeAt(p int) {
 	g := in.gIdx[p]
 	copy(in.gIdx[p:], in.gIdx[p+1:])
-	copy(in.gN[p:], in.gN[p+1:])
-	copy(in.gRate[p:], in.gRate[p+1:])
-	copy(in.gSlope[p:], in.gSlope[p+1:])
-	copy(in.gCap[p:], in.gCap[p+1:])
+	for _, c := range in.floatCols() {
+		copy(c[p:], c[p+1:])
+	}
 	n := len(in.gIdx) - 1
-	in.gIdx, in.gN, in.gRate, in.gSlope, in.gCap =
-		in.gIdx[:n], in.gN[:n], in.gRate[:n], in.gSlope[:n], in.gCap[:n]
+	in.gIdx, in.gRate, in.gSlope, in.gCap = in.gIdx[:n], in.gRate[:n], in.gSlope[:n], in.gCap[:n]
+	in.gWNR, in.gEmpty, in.gFull, in.gRoot = in.gWNR[:n], in.gEmpty[:n], in.gFull[:n], in.gRoot[:n]
 	in.pos[g] = -1
 	for i := p; i < n; i++ {
 		in.pos[in.gIdx[i]] = i
 	}
 }
 
-// marginal returns d(cost)/dL for on group i (slice position) at load v
-// under electricity weight omega.
-func (in *Instance) marginal(i int, omega, v float64) float64 {
-	den := in.gRate[i] - v
-	if den <= 0 {
-		return math.Inf(1)
-	}
-	return omega*in.gSlope[i] + in.prob.Wd*in.gN[i]*in.gRate[i]/(den*den)
+// floatCols lists the float64 on-group columns, for the shifts that move
+// every column alike.
+func (in *Instance) floatCols() [7][]float64 {
+	return [...][]float64{in.gRate, in.gSlope, in.gCap, in.gWNR, in.gEmpty, in.gFull, in.gRoot}
 }
 
 // allocSlope returns the load at which on group i's marginal cost equals
@@ -451,7 +487,7 @@ func (in *Instance) allocSlope(i int, omega, nu float64) (load, slope float64) {
 	}
 	// Wd·n·R/(R−L)² = rem  →  L = R − q with q = sqrt(Wd·n·R/rem), and
 	// dL/dν = q/(2·rem).
-	q := math.Sqrt(in.prob.Wd * in.gN[i] * in.gRate[i] / rem)
+	q := math.Sqrt(in.gWNR[i] / rem)
 	load = in.gRate[i] - q
 	switch {
 	case load <= 0:
@@ -462,41 +498,13 @@ func (in *Instance) allocSlope(i int, omega, nu float64) (load, slope float64) {
 	return load, q / (2 * rem)
 }
 
-// bracketTerm is one group's reply to a fill's bracket pass: the prices at
-// which it is empty and full, its price floor ω·A, sqrt(Wd·n·R) and R.
-type bracketTerm struct {
-	empty, full, floor, root, rate float64
-}
-
-func (in *Instance) bracketTerm(i int, omega float64) bracketTerm {
-	return bracketTerm{
-		empty: in.marginal(i, omega, 0),
-		full:  in.marginal(i, omega, in.gCap[i]),
-		floor: omega * in.gSlope[i],
-		root:  math.Sqrt(in.prob.Wd * in.gN[i] * in.gRate[i]),
-		rate:  in.gRate[i],
-	}
-}
-
-// fillBracket folds bracket terms, in ascending group order, into the
-// exact price bracket of one water-fill and its starting price.
+// fillBracket is the exact price bracket of one water-fill and its
+// starting price.
 type fillBracket struct {
 	lo, hi float64 // below lo every group is empty; above hi every group is full
 	floor  float64 // min ω·A over the groups
 	roots  float64 // Σ sqrt(Wd·n·R)
 	rates  float64 // Σ R
-}
-
-func newFillBracket() fillBracket {
-	return fillBracket{lo: math.Inf(1), hi: math.Inf(-1), floor: math.Inf(1)}
-}
-
-func (b *fillBracket) add(t bracketTerm) {
-	b.lo = math.Min(b.lo, t.empty)
-	b.hi = math.Max(b.hi, t.full)
-	b.floor = math.Min(b.floor, t.floor)
-	b.roots += t.root
-	b.rates += t.rate
 }
 
 // start is the price at which Σ L = target if every group were interior
@@ -507,14 +515,29 @@ func (b *fillBracket) start(target float64) float64 {
 	return b.floor + k*k
 }
 
-// bracket folds every group's bracket term, in ascending group order, into
-// the price bracket of one water-fill at electricity weight omega.
+// bracket builds the price bracket of one water-fill at electricity weight
+// omega. A group's marginal cost is ω·A plus its delay price, so it is empty
+// below ω·A + empty and full above ω·A + full. The delay prices are cached
+// per group and Σ sqrt(Wd·n·R) and Σ R are tracked sums, leaving a fold of
+// one product, two additions and three comparisons per group. No term is
+// NaN, so plain comparisons pick what math.Min and math.Max would.
 func (in *Instance) bracket(omega float64) fillBracket {
-	b := newFillBracket()
-	for i := range in.gIdx {
-		b.add(in.bracketTerm(i, omega))
+	lo, hi, floor := math.Inf(1), math.Inf(-1), math.Inf(1)
+	slopes := in.gSlope
+	empty, full := in.gEmpty[:len(slopes)], in.gFull[:len(slopes)]
+	for i, a := range slopes {
+		f := omega * a
+		if e := f + empty[i]; e < lo {
+			lo = e
+		}
+		if h := f + full[i]; h > hi {
+			hi = h
+		}
+		if f < floor {
+			floor = f
+		}
 	}
-	return b
+	return fillBracket{lo: lo, hi: hi, floor: floor, roots: in.rootSum, rates: in.rateSum}
 }
 
 // sweep writes every group's load at price nu into dst and returns Σ L and
@@ -536,12 +559,6 @@ func (in *Instance) fillInto(dst []float64, omega float64) ([]float64, error) {
 		return in.fillNoDelayInto(dst, omega), nil
 	}
 	return in.waterFill(dst, omega)
-}
-
-// fill is the allocating form of fillInto, kept for white-box tests and
-// one-shot callers.
-func (in *Instance) fill(omega float64) ([]float64, error) {
-	return in.fillInto(nil, omega)
 }
 
 // waterFill solves Σ_g L_g(ν) = λ for the dual price ν under electricity

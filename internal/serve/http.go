@@ -248,6 +248,12 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming ingest needs a full-duplex connection", http.StatusInternalServerError)
 		return
 	}
+	// A stream that ends early (a bad record, a failed slot) leaves the rest
+	// of the body unread. On a full-duplex connection net/http then discards
+	// it with a background read that races its own wait for the next
+	// request and panics the connection, so an ingest connection is never
+	// reused.
+	w.Header().Set("Connection", "close")
 	out := bufio.NewWriter(w)
 	defer out.Flush()
 	enc := json.NewEncoder(out)

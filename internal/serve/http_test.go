@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,12 +14,23 @@ import (
 	"repro/internal/telemetry/span"
 )
 
+// testServer serves a fresh instrumented service over HTTP. net/http
+// recovers a panic on a connection's goroutine and only logs it, so the
+// server's error log must be free of panics once the server has closed.
 func testServer(t *testing.T) (*Service, *httptest.Server) {
 	t.Helper()
 	s := testService(t)
 	reg := telemetry.NewRegistry()
 	s.Instrument(NewMetrics(reg, "serve"))
-	srv := httptest.NewServer(s.Handler(reg, span.NewTracer()))
+	srv := httptest.NewUnstartedServer(s.Handler(reg, span.NewTracer()))
+	var errLog bytes.Buffer
+	srv.Config.ErrorLog = log.New(&errLog, "", 0)
+	srv.Start()
+	t.Cleanup(func() {
+		if strings.Contains(errLog.String(), "panic") {
+			t.Errorf("server error log: %s", errLog.String())
+		}
+	})
 	t.Cleanup(srv.Close)
 	return s, srv
 }

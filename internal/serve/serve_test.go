@@ -35,7 +35,7 @@ func testService(t *testing.T) *Service {
 
 // testSlots returns the deterministic observation stream scaled to the
 // test cluster.
-func testSlots(t *testing.T, start, count int) []SlotInput {
+func testSlots(t testing.TB, start, count int) []SlotInput {
 	t.Helper()
 	groups := make([]dcmodel.Group, 3)
 	for i := range groups {
