@@ -107,6 +107,21 @@ func TestGeoStudy(t *testing.T) {
 	if res.SmartCostUSD <= 0 || res.NaiveCostUSD <= 0 {
 		t.Fatalf("degenerate costs: %+v", res)
 	}
+	// Both arms are pinned bit-for-bit: any change to the split, the site
+	// solve or the charge arithmetic shows up here.
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"SmartCostUSD", res.SmartCostUSD, 5408.136454459694},
+		{"NaiveCostUSD", res.NaiveCostUSD, 6075.461485033702},
+		{"SmartGridKWh", res.SmartGridKWh, 53622.78301323212},
+		{"NaiveGridKWh", res.NaiveGridKWh, 53414.044193297486},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
 	if res.SmartCostUSD > res.NaiveCostUSD*(1+1e-9) {
 		t.Errorf("geo-aware split (%v) worse than proportional (%v)",
 			res.SmartCostUSD, res.NaiveCostUSD)
