@@ -212,7 +212,7 @@ func BenchmarkGeoStep(b *testing.B) {
 	for _, k := range []int{4, 16} {
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("K=%d/workers=%d", k, workers), func(b *testing.B) {
-				sys, err := geo.NewSystem(benchGeoSites(k, 64), 0.005, 64)
+				sys, err := geo.NewHomogeneousFleet(benchGeoSites(k, 64), 0.005, 64)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -220,11 +220,11 @@ func BenchmarkGeoStep(b *testing.B) {
 					b.Fatal(err)
 				}
 				reg := telemetry.NewRegistry()
-				sys.Instrument(telemetry.NewGeoMetrics(reg, "geo"))
+				sys.Instrument(telemetry.NewFleetMetrics(reg, "geo"))
 				lambda := 0.4 * sys.TotalCapacityRPS()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := sys.Step(lambda, 120); err != nil {
+					if _, err := sys.GreedyStep(lambda, 120); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/gsd"
 	"repro/internal/lyapunov"
-	"repro/internal/p3"
 	"repro/internal/renewable"
 	"repro/internal/trace"
 )
@@ -43,11 +42,11 @@ func TestConstructorsRejectInvalidBeta(t *testing.T) {
 			return err
 		},
 		"core.NewController": func(beta float64) error {
-			_, err := core.NewController(cluster(), beta, sched, 1, 0, &p3.HomogeneousSolver{})
+			_, err := core.NewController(cluster(), beta, sched, 1, 0, &gsd.Solver{})
 			return err
 		},
-		"geo.NewSystem": func(beta float64) error {
-			_, err := geo.NewSystem(sites(), beta, slots)
+		"geo.NewHomogeneousFleet": func(beta float64) error {
+			_, err := geo.NewHomogeneousFleet(sites(), beta, slots)
 			return err
 		},
 		"geo.NewFleet": func(beta float64) error {

@@ -281,17 +281,19 @@ func BatchWorkload(seed uint64, slots int, jobsPerSlot, meanSizeServerHours floa
 // paper's refs [21][29][32]).
 type (
 	// GeoSite is one data center in a federation: a cluster (a single
-	// server type for a GeoSystem) under its own price and renewables.
+	// server type for NewGeoSystem) under its own price and renewables.
 	GeoSite = geo.FleetSite
 	// GeoSystem is a federation with per-site carbon-deficit queues.
-	GeoSystem = geo.System
+	GeoSystem = geo.Fleet
 	// GeoStepOutcome is one stepped federation slot.
 	GeoStepOutcome = geo.StepOutcome
 )
 
-// NewGeoSystem assembles a multi-site federation.
+// NewGeoSystem assembles a multi-site federation of single-server-type
+// sites, each solved in closed form; step it with GreedyStep (price- and
+// carbon-aware split) or Step (capacity-proportional split).
 func NewGeoSystem(sites []GeoSite, beta float64, slots int) (*GeoSystem, error) {
-	return geo.NewSystem(sites, beta, slots)
+	return geo.NewHomogeneousFleet(sites, beta, slots)
 }
 
 // Workload forecasting (for prediction-based budgeting studies).
@@ -337,7 +339,7 @@ type (
 	// LabeledHistogram is a histogram vector keyed by label tuples.
 	LabeledHistogram = telemetry.LabeledHistogram
 	// FleetMetrics instruments a geo fleet run with site-labeled series;
-	// attach with geo.Fleet.Instrument.
+	// attach with GeoSystem.Instrument.
 	FleetMetrics = telemetry.FleetMetrics
 	// RuntimeMetrics is the Go runtime collector (goroutines, heap, GC),
 	// refreshed on every registry scrape.
@@ -368,12 +370,6 @@ func NewPoolMetrics(r *TelemetryRegistry, prefix string) *PoolMetrics {
 // SlotStreamer.Observer to an Engine.
 func NewSlotStreamer(w io.Writer) *SlotStreamer { return telemetry.NewSlotStreamer(w) }
 
-// NewGeoMetrics registers federation instruments under prefix; attach
-// them with GeoSystem.Instrument.
-func NewGeoMetrics(r *TelemetryRegistry, prefix string) *GeoMetrics {
-	return telemetry.NewGeoMetrics(r, prefix)
-}
-
 // NewBatchMetrics registers batch-scheduler instruments under prefix;
 // attach them with BatchScheduler.Instrument.
 func NewBatchMetrics(r *TelemetryRegistry, prefix string) *BatchMetrics {
@@ -381,7 +377,7 @@ func NewBatchMetrics(r *TelemetryRegistry, prefix string) *BatchMetrics {
 }
 
 // NewFleetMetrics registers fleet instruments (site-labeled) under
-// prefix; attach them with geo.Fleet.Instrument.
+// prefix; attach them with GeoSystem.Instrument.
 func NewFleetMetrics(r *TelemetryRegistry, prefix string) *FleetMetrics {
 	return telemetry.NewFleetMetrics(r, prefix)
 }
@@ -416,8 +412,6 @@ type (
 	SpanAttr = span.Attr
 	// SpanSummary is a tracer buffer overview (also served on /spans).
 	SpanSummary = span.Summary
-	// GeoMetrics instruments a geo federation run per site.
-	GeoMetrics = telemetry.GeoMetrics
 	// BatchMetrics instruments the batch-job scheduler.
 	BatchMetrics = telemetry.BatchMetrics
 )

@@ -61,7 +61,7 @@ func main() {
 	fmt.Fprintln(w, "hour\tλ\thydro-north\tmetro-east\tdesert-west\tq(north)\tq(east)\tq(west)")
 	var total float64
 	for t := 0; t < slots; t++ {
-		out, err := sys.Step(workload.Values[t], 5e4)
+		out, err := sys.GreedyStep(workload.Values[t], 5e4)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -138,7 +138,7 @@ func TestFacadeSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gout, err := sys.Step(50, 100)
+	gout, err := sys.GreedyStep(50, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

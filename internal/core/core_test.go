@@ -180,6 +180,13 @@ func TestSwitchingCostInternalized(t *testing.T) {
 	}
 }
 
+// enumerateSolver adapts the exhaustive p3.Enumerate oracle to p3.Solver.
+type enumerateSolver struct{}
+
+func (enumerateSolver) Solve(p *dcmodel.SlotProblem) (dcmodel.Solution, error) {
+	return p3.Enumerate(p)
+}
+
 func TestControllerWithExactSolver(t *testing.T) {
 	cluster := &dcmodel.Cluster{
 		Groups: []dcmodel.Group{
@@ -189,7 +196,7 @@ func TestControllerWithExactSolver(t *testing.T) {
 		Gamma: 0.95, PUE: 1,
 	}
 	sched := lyapunov.ConstantV(1e4, 1, 24)
-	ctrl, err := NewController(cluster, 0.01, sched, 1, 1, &p3.HomogeneousSolver{})
+	ctrl, err := NewController(cluster, 0.01, sched, 1, 1, enumerateSolver{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +255,7 @@ func TestControllerValidation(t *testing.T) {
 		t.Error("nil solver accepted")
 	}
 	bad := &dcmodel.Cluster{}
-	if _, err := NewController(bad, 0.01, sched, 1, 1, &p3.HomogeneousSolver{}); err == nil {
+	if _, err := NewController(bad, 0.01, sched, 1, 1, &gsd.Solver{}); err == nil {
 		t.Error("bad cluster accepted")
 	}
 }

@@ -70,7 +70,7 @@ func GeoStudy(cfg Config) (GeoResult, error) {
 	}
 
 	run := func(smart bool) (cost, grid float64, shares []float64, err error) {
-		sys, err := geo.NewSystem(cloneSites(sites), cfg.Beta, slots)
+		sys, err := geo.NewHomogeneousFleet(cloneSites(sites), cfg.Beta, slots)
 		if err != nil {
 			return 0, 0, nil, err
 		}
@@ -80,7 +80,7 @@ func GeoStudy(cfg Config) (GeoResult, error) {
 			// arms must not share mutable instruments across workers.
 			sys.SetTracer(cfg.Tracer)
 			if cfg.Telemetry != nil {
-				sys.Instrument(telemetry.NewGeoMetrics(cfg.Telemetry, "geo"))
+				sys.Instrument(telemetry.NewFleetMetrics(cfg.Telemetry, "geo"))
 			}
 		}
 		wl := trace.FIUYear(cfg.Seed).ScaledToPeak(0.5 * sys.TotalCapacityRPS())
@@ -90,9 +90,9 @@ func GeoStudy(cfg Config) (GeoResult, error) {
 		for t := 0; t < slots; t++ {
 			var out geo.StepOutcome
 			if smart {
-				out, err = sys.Step(wl.Values[t], v)
+				out, err = sys.GreedyStep(wl.Values[t], v)
 			} else {
-				out, err = sys.ProportionalSplit(wl.Values[t], v)
+				out, err = sys.Step(wl.Values[t], v)
 			}
 			if err != nil {
 				return 0, 0, nil, err

@@ -5,105 +5,15 @@ import (
 	"time"
 
 	"repro/internal/dcmodel"
-	"repro/internal/gsd"
-	"repro/internal/telemetry"
+	"repro/internal/p3"
+	"repro/internal/workpool"
 )
 
-// This file is the fleet-scale federation: System models every site as a
-// homogeneous deployment solved in closed form (p3.HomogeneousProblem), a
-// Fleet gives every site a full heterogeneous cluster driven by its own GSD
-// chain — the "100k+ servers, 256+ sites, one machine" setting. Two design
-// rules make it scale and stay reproducible:
-//
-//   - The GSD chain is sharded per site. Each site owns a gsd.Solver whose
-//     advancing seed and warm-start state never mix with another site's, so
-//     whole-site P3 solves are embarrassingly parallel: the schedule decides
-//     only *when* a site's slot solve runs, never what it computes.
-//   - Every fan-out is index-addressed (a site job writes only its own
-//     outcome slot), errors reduce to the lowest site index, and totals
-//     accumulate sequentially in site order after the barrier. Any worker
-//     count — including the sequential 0/1 path — therefore produces
-//     bit-identical outcomes, which the golden parity tests pin.
-
-// Fleet is a federation of heterogeneous-cluster sites, each running its
-// own GSD solver chain, stepped slot by slot like System.
-type Fleet struct {
-	federation
-	solvers []*gsd.Solver // per-site shard: own advancing seed + warm starts
-
-	// Per-slot scratch reused across Step calls: site problem instances
-	// (each handed to the pooled per-site solver, which never reads one
-	// after its run finishes) and the fan-out error slots. Outcome slices
-	// stay freshly allocated — they escape to the caller via Settle.
-	probs []dcmodel.SlotProblem
-	errs  []error
-
-	metrics   *telemetry.FleetMetrics
-	siteInstr []*telemetry.FleetSiteMetrics // cached per-site handles, index-aligned with Sites
-
-	settleOb SettleObserver
-}
-
-// SettleObserver is a per-slot instrumentation hook for fleet runs: it
-// receives each settled slot's index and outcome after the deficit queues
-// have absorbed it, before the clock advances. Observers must not mutate
-// the outcome; they are for metrics, request-level replays and tests —
-// the fleet analogue of sim.Observer.
-type SettleObserver func(slot int, out FleetStepOutcome)
-
-// fleetSeedStride decorrelates per-site GSD seeds: site i's chain starts at
-// base + (i+1)·stride (a splitmix64-style odd constant), so sites never
-// replay each other's sample paths while the whole fleet stays a pure
-// function of the base seed.
-const fleetSeedStride = 0x9E3779B97F4A7C15
-
-// NewFleet validates and assembles the fleet. opts configures every site's
-// GSD solver (iteration budget, temperature, patience); opts.Seed is the
-// base seed the per-site chains are derived from. One carbon-deficit queue
-// per site, exactly like NewSystem.
-func NewFleet(sites []FleetSite, beta float64, slots int, opts gsd.Options) (*Fleet, error) {
-	fed, err := newFederation("geo.Fleet", sites, beta, slots, (*FleetSite).CapacityRPS)
-	if err != nil {
-		return nil, err
-	}
-	f := &Fleet{federation: fed}
-	for i := range sites {
-		siteOpts := opts
-		siteOpts.Seed = opts.Seed + uint64(i+1)*fleetSeedStride
-		f.solvers = append(f.solvers, &gsd.Solver{Opts: siteOpts})
-	}
-	return f, nil
-}
-
-// Instrument attaches fleet metrics (nil detaches). Per-site label
-// tuples are interned here, once, and the resulting plain-instrument
-// handles cached index-aligned with Sites, so the per-site emission in
-// Step is allocation-free: counter adds and histogram observes on
-// already-interned children, no map lookups, no label encoding. Each
-// site's GSD shard also gets its own SolveMetrics view, so shard solve
-// stats (iterations, dual rounds, solve wall time) land in the same
-// site-labeled vectors. Instrumentation never changes outcomes: it only
-// reads settled values after the fan-out barrier, in site order.
-func (f *Fleet) Instrument(m *telemetry.FleetMetrics) {
-	f.metrics = m
-	f.siteInstr = nil
-	if m == nil {
-		for i := range f.solvers {
-			f.solvers[i].Opts.Metrics = nil
-		}
-		return
-	}
-	f.siteInstr = make([]*telemetry.FleetSiteMetrics, len(f.Sites))
-	for i := range f.Sites {
-		f.siteInstr[i] = m.Site(f.Sites[i].Name)
-		f.solvers[i].Opts.Metrics = m.SiteSolveMetrics(f.Sites[i].Name)
-	}
-}
-
-// FleetSiteOutcome is one site's share of a stepped fleet slot.
-type FleetSiteOutcome struct {
+// SiteOutcome is one site's share of a stepped slot.
+type SiteOutcome struct {
 	LoadRPS   float64
-	Active    int // servers in groups running at positive speed
+	Speed     int // the closed-form speed index; 0 on a GSD site
+	Active    int // servers running at positive speed
 	PowerKW   float64
 	GridKWh   float64
 	DelayCost float64
@@ -111,22 +21,46 @@ type FleetSiteOutcome struct {
 	Value     float64 // the site's P3 objective at the solved configuration
 }
 
-// FleetStepOutcome is a stepped slot across the fleet.
-type FleetStepOutcome struct {
-	Sites        []FleetSiteOutcome
+// StepOutcome is a stepped slot across the fleet.
+type StepOutcome struct {
+	Sites        []SiteOutcome
 	TotalCostUSD float64
 	TotalGridKWh float64
 }
 
-// siteProblem builds site k's heterogeneous P3 instance for the slot at
-// load mu, with the COCA weights of Eq. (16) from the site's own price and
-// deficit queue. The instance lives in the fleet's per-site scratch slot —
-// site k's solver finishes with it before the next Step rewrites it — so
-// stepping allocates no problem structs.
-func (f *Fleet) siteProblem(k int, v, mu float64) *dcmodel.SlotProblem {
+// siteSolve is one site's solved configuration at a load, as the charge
+// helper needs it.
+type siteSolve struct {
+	Speed, Active             int
+	PowerKW, DelayCost, Value float64
+}
+
+// solveSite solves site k's P3 at load mu (> 0) with the COCA weights of
+// Eq. (16) from the site's own price and deficit queue: in closed form on a
+// homogeneous fleet, on the site's GSD shard otherwise.
+func (f *Fleet) solveSite(k int, v, mu float64) (siteSolve, error) {
 	site := &f.Sites[k]
 	t := f.slot
 	we, wd := dcmodel.P3Weights(v, f.queues[k].Len(), site.Price.Values[t], f.Beta)
+	if f.solvers == nil {
+		g := &site.Cluster.Groups[0]
+		hp := &f.hprobs[k]
+		*hp = p3.HomogeneousProblem{
+			Type: g.Type, N: g.N,
+			Gamma: site.Cluster.Gamma, PUE: site.Cluster.PUE,
+			LambdaRPS: mu,
+			We:        we, Wd: wd,
+			OnsiteKW: site.Portfolio.OnsiteKW.Values[t],
+		}
+		sol, err := hp.Solve()
+		if err != nil {
+			return siteSolve{}, err
+		}
+		return siteSolve{sol.Speed, sol.Active, sol.PowerKW, sol.DelayCost, sol.Value}, nil
+	}
+	// The instance lives in the fleet's per-site scratch slot — site k's
+	// solver finishes with it before the next step rewrites it — so
+	// stepping allocates no problem structs.
 	p := &f.probs[k]
 	*p = dcmodel.SlotProblem{
 		Cluster:   site.Cluster,
@@ -134,95 +68,119 @@ func (f *Fleet) siteProblem(k int, v, mu float64) *dcmodel.SlotProblem {
 		We:        we, Wd: wd,
 		OnsiteKW: site.Portfolio.OnsiteKW.Values[t],
 	}
-	return p
+	sol, err := f.solvers[k].Solve(p)
+	if err != nil {
+		return siteSolve{}, err
+	}
+	cl := site.Cluster
+	return siteSolve{
+		Active:    cl.ActiveServers(sol.Speeds),
+		PowerKW:   cl.FacilityPowerKW(sol.Speeds, sol.Load),
+		DelayCost: cl.DelayCost(sol.Speeds, sol.Load),
+		Value:     sol.Value,
+	}, nil
 }
 
-// Step splits lambda across the sites proportionally to capacity, solves
-// every loaded site's whole-cluster P3 on its own GSD shard (fanned across
-// the SetWorkers pool), charges each site through its Ledger, and returns
-// the outcome. Call Settle with the outcome afterwards.
+// charge prices site k's solved configuration at load mu through the
+// site's dcmodel.Ledger for the current slot, so geo shares the exact
+// accounting of internal/sim and internal/core.
+func (f *Fleet) charge(k int, mu float64, s siteSolve) SiteOutcome {
+	site := &f.Sites[k]
+	t := f.slot
+	ch := dcmodel.Ledger{
+		PriceUSDPerKWh: site.Price.Values[t],
+		OnsiteKW:       site.Portfolio.OnsiteKW.Values[t],
+		Beta:           f.Beta,
+		Alpha:          site.Portfolio.Alpha,
+		RECPerSlotKWh:  site.Portfolio.RECPerSlotKWh(f.Slots),
+	}.Charge(s.PowerKW, s.DelayCost, 0)
+	return SiteOutcome{
+		LoadRPS: mu, Speed: s.Speed, Active: s.Active,
+		PowerKW: ch.PowerKW, GridKWh: ch.GridKWh, DelayCost: ch.DelayCost,
+		CostUSD: ch.TotalUSD, Value: s.Value,
+	}
+}
+
+// siteError names site k in a real solver failure and counts it into the
+// site's solve_errors series.
+func (f *Fleet) siteError(k int, err error) error {
+	if f.metrics != nil {
+		f.siteInstr[k].SolveErrors.Inc()
+	}
+	return fmt.Errorf("geo: site %s: %w", f.Sites[k].Name, err)
+}
+
+// Step splits lambda across the sites in proportion to their capacities,
+// solves every loaded site's P3 once (fanned across the SetWorkers pool),
+// charges each site through its Ledger, and returns the outcome. Call
+// Settle with the outcome afterwards.
 //
 // The split is capacity-proportional rather than greedy-marginal: at fleet
-// scale a per-chunk GSD re-solve per site (the System.Step discipline)
-// would cost Chunks·K whole-cluster chains per slot; the proportional split
+// scale a per-chunk re-solve per site (the GreedyStep discipline) would
+// cost Chunks·K whole-cluster GSD chains per slot; the proportional split
 // needs exactly one solve per loaded site while the per-site COCA weights
 // still steer each site's own speed/load decisions by price and deficit.
-func (f *Fleet) Step(lambda, v float64) (FleetStepOutcome, error) {
-	if err := f.validateLoad(lambda); err != nil {
-		return FleetStepOutcome{}, err
+// On a homogeneous fleet it is the price- and carbon-blind baseline
+// GreedyStep is measured against.
+func (f *Fleet) Step(lambda, v float64) (StepOutcome, error) {
+	if err := f.validateLoad(lambda, v); err != nil {
+		return StepOutcome{}, err
 	}
 	var stepStart time.Time
 	if f.metrics != nil {
 		stepStart = time.Now()
 	}
-	k := len(f.Sites)
-	out := FleetStepOutcome{Sites: make([]FleetSiteOutcome, k)}
-	if f.probs == nil {
-		f.probs = make([]dcmodel.SlotProblem, k)
-		f.errs = make([]error, k)
-	}
-	err := f.fanProportional(lambda, f.errs, func(i int, mu float64) error {
-		so := &out.Sites[i]
-		so.LoadRPS = mu
+	out := StepOutcome{Sites: make([]SiteOutcome, len(f.Sites))}
+	workpool.Fan(f.workers, len(f.Sites), func(i int) {
+		mu := lambda * f.caps[i] / f.totalCap
+		f.errs[i] = nil
+		out.Sites[i].LoadRPS = mu
 		if mu <= 0 {
-			return nil
+			return
 		}
-		sol, err := f.solvers[i].Solve(f.siteProblem(i, v, mu))
+		s, err := f.solveSite(i, v, mu)
 		if err != nil {
-			return fmt.Errorf("geo: fleet site %s: %w", f.Sites[i].Name, err)
+			f.errs[i] = err
+			return
 		}
-		cl := f.Sites[i].Cluster
-		so.Active = cl.ActiveServers(sol.Speeds)
-		so.Value = sol.Value
-		ch := f.siteLedger(i).Charge(
-			cl.FacilityPowerKW(sol.Speeds, sol.Load),
-			cl.DelayCost(sol.Speeds, sol.Load), 0)
-		so.PowerKW, so.GridKWh, so.DelayCost = ch.PowerKW, ch.GridKWh, ch.DelayCost
-		so.CostUSD = ch.TotalUSD
-		return nil
+		out.Sites[i] = f.charge(i, mu, s)
 	})
-	if err != nil {
-		if f.metrics != nil {
-			for i, e := range f.errs {
-				if e != nil {
-					f.siteInstr[i].SolveErrors.Inc()
-				}
+	var first error
+	for i, err := range f.errs {
+		if err != nil {
+			err = f.siteError(i, err)
+			if first == nil {
+				first = err
 			}
 		}
-		return FleetStepOutcome{}, err
 	}
+	if first != nil {
+		return StepOutcome{}, first
+	}
+	f.finish(&out, nil, stepStart)
+	return out, nil
+}
+
+// finish sums the slot totals in site order and, when metrics are
+// attached, folds the outcome into them: per-site load, cost and grid,
+// the greedy chunks won (chunks is nil for Step), and the step totals and
+// wall time since start.
+func (f *Fleet) finish(out *StepOutcome, chunks []int, start time.Time) {
 	for i := range out.Sites {
 		out.TotalCostUSD += out.Sites[i].CostUSD
 		out.TotalGridKWh += out.Sites[i].GridKWh
 	}
-	if f.metrics != nil {
-		for i := 0; i < k; i++ {
-			si, so := f.siteInstr[i], &out.Sites[i]
-			si.LoadRPS.Add(so.LoadRPS)
-			si.CostUSD.Add(so.CostUSD)
-			si.GridKWh.Add(so.GridKWh)
-		}
-		f.metrics.ObserveStep(out.TotalCostUSD, out.TotalGridKWh, time.Since(stepStart).Seconds())
+	if f.metrics == nil {
+		return
 	}
-	return out, nil
-}
-
-// Settle finishes the slot: every site's deficit queue absorbs its realized
-// grid draw against its own off-site generation, and the clock advances.
-func (f *Fleet) Settle(out FleetStepOutcome) {
-	for i := range f.Sites {
-		q := f.settleSite(i, out.Sites[i].GridKWh)
-		if f.metrics != nil {
-			f.siteInstr[i].DeficitKWh.Set(q)
+	for i := range out.Sites {
+		si, so := f.siteInstr[i], &out.Sites[i]
+		si.LoadRPS.Add(so.LoadRPS)
+		si.CostUSD.Add(so.CostUSD)
+		si.GridKWh.Add(so.GridKWh)
+		if chunks != nil {
+			si.Chunks.Add(float64(chunks[i]))
 		}
 	}
-	if f.settleOb != nil {
-		f.settleOb(f.slot, out)
-	}
-	f.slot++
+	f.metrics.ObserveStep(out.TotalCostUSD, out.TotalGridKWh, time.Since(start).Seconds())
 }
-
-// SetSettleObserver attaches the per-slot settle hook (nil detaches). The
-// observer runs synchronously inside Settle; it sees the slot index being
-// settled and the outcome Settle was called with.
-func (f *Fleet) SetSettleObserver(ob SettleObserver) { f.settleOb = ob }

@@ -43,8 +43,8 @@ func makeFleetSites(k, groupsPerSite, serversPerGroup, slots int) []FleetSite {
 	return sites
 }
 
-// hashFleetOutcome folds every computed number of a FleetStepOutcome into h.
-func hashFleetOutcome(h hash.Hash64, out FleetStepOutcome) {
+// hashFleetOutcome folds every computed number of a StepOutcome into h.
+func hashFleetOutcome(h hash.Hash64, out StepOutcome) {
 	putFloats(h, out.TotalCostUSD, out.TotalGridKWh)
 	for _, so := range out.Sites {
 		putFloats(h, so.LoadRPS, float64(so.Active), so.PowerKW,
@@ -146,7 +146,7 @@ func TestFleetScale256Sites10kGroups(t *testing.T) {
 }
 
 // TestFleetSetWorkersRejectsNegative pins the cliutil.WorkersFor rule on
-// both federation types: negatives are an explicit error, never a silent
+// both kinds of fleet: negatives are an explicit error, never a silent
 // fallback.
 func TestFleetSetWorkersRejectsNegative(t *testing.T) {
 	const slots = 4
@@ -160,12 +160,12 @@ func TestFleetSetWorkersRejectsNegative(t *testing.T) {
 	if err := f.SetWorkers(0); err != nil {
 		t.Fatalf("Fleet.SetWorkers(0): %v", err)
 	}
-	sys, err := NewSystem(makeSitesK(2, slots), 0.005, slots)
+	homog, err := NewHomogeneousFleet(makeSitesK(2, slots), 0.005, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SetWorkers(-3); err == nil || !strings.Contains(err.Error(), "geo.System.SetWorkers") {
-		t.Fatalf("System.SetWorkers(-3) = %v, want named error", err)
+	if err := homog.SetWorkers(-3); err == nil || !strings.Contains(err.Error(), "geo.Fleet.SetWorkers") {
+		t.Fatalf("homogeneous Fleet.SetWorkers(-3) = %v, want named error", err)
 	}
 }
 

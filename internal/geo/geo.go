@@ -6,64 +6,159 @@
 // runs its own carbon-deficit queue, so the split is steered toward sites
 // that are currently cheap *and* carbon-underspent.
 //
-// The per-slot problem separates: given a split (μ_1..μ_K), site k's cost
-// is its own P3 optimum at load μ_k, a convex non-decreasing function of
-// μ_k (minimum of convex costs with nested feasible sets). The split is
-// computed by greedy marginal allocation in load chunks — optimal for
-// convex per-site costs up to the chunk discretization.
+// One type, Fleet, holds the federation. Its constructor fixes how a site's
+// P3 is solved: NewFleet gives every site a full heterogeneous cluster
+// driven by its own GSD chain (the "100k+ servers, 256+ sites, one
+// machine" setting), NewHomogeneousFleet solves single-group sites in
+// closed form (p3.HomogeneousProblem). Two steps split the load. Step is
+// capacity-proportional: one site solve per loaded site. GreedyStep uses
+// the separability of the per-slot problem: given a split (μ_1..μ_K), site
+// k's cost is its own P3 optimum at load μ_k, a convex non-decreasing
+// function of μ_k (minimum of convex costs with nested feasible sets), so
+// greedy marginal allocation in load chunks is optimal up to the chunk
+// discretization.
+//
+// Two design rules make the fleet scale and stay reproducible:
+//
+//   - The GSD chain is sharded per site. Each site owns a gsd.Solver whose
+//     advancing seed and warm-start state never mix with another site's, so
+//     whole-site P3 solves are embarrassingly parallel: the schedule decides
+//     only *when* a site's slot solve runs, never what it computes.
+//   - Every fan-out is index-addressed (a site job writes only its own
+//     outcome slot), errors reduce to the lowest site index, and totals
+//     accumulate sequentially in site order after the barrier. Any worker
+//     count — including the sequential 0/1 path — therefore produces
+//     bit-identical outcomes, which the golden parity tests pin.
 package geo
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
+	"repro/internal/cliutil"
 	"repro/internal/dcmodel"
+	"repro/internal/gsd"
+	"repro/internal/lyapunov"
 	"repro/internal/p3"
+	"repro/internal/renewable"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/span"
+	"repro/internal/trace"
 )
 
-// System is a federation of single-server-type sites under one global
-// workload: each site's P3 is solved in closed form
-// (p3.HomogeneousProblem), and the split is greedy-marginal (Step) or
-// capacity-proportional (ProportionalSplit). Sites, Beta and Slots, the
-// per-site deficit queues and the clock live in the federation core it
-// shares with Fleet.
-type System struct {
-	federation
-	tracer  *span.Tracer
-	metrics *telemetry.GeoMetrics
+// FleetSite is one data center of a federation: a cluster under its own
+// electricity price, renewable portfolio and carbon-deficit queue. A
+// NewFleet site may mix server types; a NewHomogeneousFleet site runs a
+// single one.
+type FleetSite struct {
+	Name      string
+	Cluster   *dcmodel.Cluster
+	Price     *trace.Trace         // w_k(t) in $/kWh
+	Portfolio *renewable.Portfolio // r_k(t), f_k(t), Z_k, α_k
 }
 
-// SetTracer attaches a span tracer: every subsequent Step records a
-// geo.step root span with one geo.site child per site (allocated load,
-// chunk count, deficit queue, the operated speed/active and costs).
-// Steps start *root* spans — geo systems are often stepped inside pooled
-// experiment workers, and a root never adopts a stranger's open span.
-// Nil (the default) disables tracing.
-func (sys *System) SetTracer(tr *span.Tracer) { sys.tracer = tr }
-
-// Instrument attaches federation metrics: Step feeds the per-site
-// counters and Settle the deficit gauges. Nil (the default) disables
-// instrumentation.
-func (sys *System) Instrument(m *telemetry.GeoMetrics) { sys.metrics = m }
-
-// NewSystem validates and assembles the federation, creating one
-// carbon-deficit queue per site. Every site's cluster must be a single
-// server group: System solves each site's P3 in closed form over one
-// server type.
-func NewSystem(sites []FleetSite, beta float64, slots int) (*System, error) {
-	for i := range sites {
-		if cl := sites[i].Cluster; cl != nil && len(cl.Groups) > 1 {
-			return nil, fmt.Errorf("geo: site %q has %d server groups; a System site runs a single server type",
-				sites[i].Name, len(cl.Groups))
-		}
+// Validate reports whether the site is well formed for the horizon.
+func (s *FleetSite) Validate(slots int) error {
+	if s.Cluster == nil {
+		return fmt.Errorf("geo: site %q has no cluster", s.Name)
 	}
-	fed, err := newFederation("geo.System", sites, beta, slots, homogeneousCapacityRPS)
+	if err := s.Cluster.Validate(); err != nil {
+		return fmt.Errorf("geo: site %q: %w", s.Name, err)
+	}
+	if s.Price == nil || s.Price.Len() < slots {
+		return fmt.Errorf("geo: site %q price trace short", s.Name)
+	}
+	if s.Portfolio == nil {
+		return fmt.Errorf("geo: site %q missing portfolio", s.Name)
+	}
+	return s.Portfolio.Validate(slots)
+}
+
+// CapacityRPS returns the site's γ-discounted top-speed capacity.
+func (s *FleetSite) CapacityRPS() float64 {
+	return s.Cluster.Gamma * s.Cluster.MaxCapacityRPS()
+}
+
+// Fleet is a federation of sites under one global workload, stepped slot
+// by slot: Step or GreedyStep, then Settle.
+type Fleet struct {
+	Sites []FleetSite
+	Beta  float64
+	Slots int
+
+	queues   []*lyapunov.DeficitQueue
+	caps     []float64 // γ-discounted site capacities, index-aligned with Sites
+	totalCap float64   // Σ caps, summed in site order
+	slot     int
+	workers  int
+
+	// solvers holds one GSD shard per site (own advancing seed and warm
+	// starts); nil on a homogeneous fleet, whose sites are solved in
+	// closed form.
+	solvers []*gsd.Solver
+
+	// Per-slot scratch reused across steps: site problem instances (each
+	// handed to the site's solver, which never reads one after its run
+	// finishes) and the fan-out error slots. Outcome slices stay freshly
+	// allocated — they escape to the caller via Settle.
+	probs  []dcmodel.SlotProblem
+	hprobs []p3.HomogeneousProblem
+	errs   []error
+
+	tracer    *span.Tracer
+	metrics   *telemetry.FleetMetrics
+	siteInstr []*telemetry.FleetSiteMetrics // cached per-site handles, index-aligned with Sites
+	settleOb  SettleObserver
+}
+
+// SettleObserver is a per-slot instrumentation hook: it receives each
+// settled slot's index and outcome after the deficit queues have absorbed
+// it, before the clock advances. Observers must not mutate the outcome;
+// they are for metrics, request-level replays and tests — the fleet
+// analogue of sim.Observer.
+type SettleObserver func(slot int, out StepOutcome)
+
+// fleetSeedStride decorrelates per-site GSD seeds: site i's chain starts at
+// base + (i+1)·stride (a splitmix64-style odd constant), so sites never
+// replay each other's sample paths while the whole fleet stays a pure
+// function of the base seed.
+const fleetSeedStride = 0x9E3779B97F4A7C15
+
+// NewFleet validates and assembles a fleet whose sites each run their own
+// GSD chain. opts configures every site's solver (iteration budget,
+// temperature, patience); opts.Seed is the base seed the per-site chains
+// are derived from. One carbon-deficit queue per site.
+func NewFleet(sites []FleetSite, beta float64, slots int, opts gsd.Options) (*Fleet, error) {
+	f, err := newFleet(sites, beta, slots, (*FleetSite).CapacityRPS)
 	if err != nil {
 		return nil, err
 	}
-	return &System{federation: fed}, nil
+	f.probs = make([]dcmodel.SlotProblem, len(sites))
+	for i := range sites {
+		siteOpts := opts
+		siteOpts.Seed = opts.Seed + uint64(i+1)*fleetSeedStride
+		f.solvers = append(f.solvers, &gsd.Solver{Opts: siteOpts})
+	}
+	return f, nil
+}
+
+// NewHomogeneousFleet validates and assembles a fleet of single-server-type
+// sites: every site's cluster must be one server group, and its P3 is
+// solved in closed form (p3.HomogeneousProblem).
+func NewHomogeneousFleet(sites []FleetSite, beta float64, slots int) (*Fleet, error) {
+	for i := range sites {
+		if cl := sites[i].Cluster; cl != nil && len(cl.Groups) > 1 {
+			return nil, fmt.Errorf("geo: site %q has %d server groups; a homogeneous fleet site runs a single server type",
+				sites[i].Name, len(cl.Groups))
+		}
+	}
+	f, err := newFleet(sites, beta, slots, homogeneousCapacityRPS)
+	if err != nil {
+		return nil, err
+	}
+	f.hprobs = make([]p3.HomogeneousProblem, len(sites))
+	return f, nil
 }
 
 // homogeneousCapacityRPS is a single-group site's γ-discounted top-speed
@@ -73,163 +168,130 @@ func homogeneousCapacityRPS(s *FleetSite) float64 {
 	return s.Cluster.Gamma * float64(g.N) * g.Type.MaxRate()
 }
 
-// SiteOutcome is one site's share of a stepped slot.
-type SiteOutcome struct {
-	LoadRPS   float64
-	Speed     int
-	Active    int
-	PowerKW   float64
-	GridKWh   float64
-	DelayCost float64
-	CostUSD   float64 // the site's dcmodel.Ledger charge: w_k·grid + β·delay
+// newFleet validates the sites and builds one deficit queue per site.
+// capacity fixes each site's γ-discounted capacity; it runs only on
+// validated sites.
+func newFleet(sites []FleetSite, beta float64, slots int, capacity func(*FleetSite) float64) (*Fleet, error) {
+	if len(sites) == 0 {
+		return nil, errors.New("geo: no sites")
+	}
+	if !(beta >= 0) || math.IsInf(beta, 1) {
+		return nil, fmt.Errorf("geo: beta %v must be finite and non-negative", beta)
+	}
+	if slots <= 0 {
+		return nil, errors.New("geo: non-positive horizon")
+	}
+	f := &Fleet{Sites: sites, Beta: beta, Slots: slots, errs: make([]error, len(sites))}
+	for i := range sites {
+		if err := sites[i].Validate(slots); err != nil {
+			return nil, err
+		}
+		f.queues = append(f.queues, lyapunov.NewDeficitQueue(
+			sites[i].Portfolio.Alpha,
+			sites[i].Portfolio.RECPerSlotKWh(slots),
+		))
+		c := capacity(&sites[i])
+		f.caps = append(f.caps, c)
+		f.totalCap += c
+	}
+	return f, nil
 }
 
-// StepOutcome is a stepped slot across the federation.
-type StepOutcome struct {
-	Sites        []SiteOutcome
-	TotalCostUSD float64
-	TotalGridKWh float64
+// SetWorkers bounds the per-slot fan-out across sites: Step's site solves
+// and GreedyStep's initial split candidates. n in {0, 1} (the default)
+// stays sequential — unlike experiments.Config.Workers, zero does NOT mean
+// all cores, because fleets are routinely stepped inside already-pooled
+// experiment workers and must not oversubscribe by default. n > 1 fans
+// across up to n goroutines; every job writes only its own site slot and
+// errors reduce to the lowest site index, so results are bit-identical at
+// any width. Negative n is an explicit error (the cliutil.WorkersFor rule).
+func (f *Fleet) SetWorkers(n int) error {
+	if err := cliutil.WorkersFor("geo.Fleet.SetWorkers", n); err != nil {
+		return err
+	}
+	f.workers = n
+	return nil
 }
 
-// siteProblem builds site k's P3 instance for the slot at load mu.
-func (sys *System) siteProblem(k int, v, mu float64) *p3.HomogeneousProblem {
-	site := &sys.Sites[k]
-	g := &site.Cluster.Groups[0]
-	t := sys.slot
-	we, wd := dcmodel.P3Weights(v, sys.queues[k].Len(), site.Price.Values[t], sys.Beta)
-	return &p3.HomogeneousProblem{
-		Type: g.Type, N: g.N,
-		Gamma: site.Cluster.Gamma, PUE: site.Cluster.PUE,
-		LambdaRPS: mu,
-		We:        we, Wd: wd,
-		OnsiteKW: site.Portfolio.OnsiteKW.Values[t],
+// SetTracer attaches a span tracer: every subsequent GreedyStep records a
+// geo.step root span with one geo.site child per site (allocated load,
+// chunk count, deficit queue, the operated speed/active and costs).
+// Steps start *root* spans — fleets are often stepped inside pooled
+// experiment workers, and a root never adopts a stranger's open span.
+// Nil (the default) disables tracing.
+func (f *Fleet) SetTracer(tr *span.Tracer) { f.tracer = tr }
+
+// Instrument attaches fleet metrics (nil detaches). Per-site label
+// tuples are interned here, once, and the resulting plain-instrument
+// handles cached index-aligned with Sites, so the per-site emission of a
+// step is allocation-free: counter adds and histogram observes on
+// already-interned children, no map lookups, no label encoding. Each
+// site's GSD shard also gets its own SolveMetrics view, so shard solve
+// stats (iterations, dual rounds, solve wall time) land in the same
+// site-labeled vectors. Instrumentation never changes outcomes: it only
+// reads settled values after the fan-out barrier, in site order.
+func (f *Fleet) Instrument(m *telemetry.FleetMetrics) {
+	f.metrics = m
+	f.siteInstr = nil
+	if m == nil {
+		for i := range f.solvers {
+			f.solvers[i].Opts.Metrics = nil
+		}
+		return
+	}
+	f.siteInstr = make([]*telemetry.FleetSiteMetrics, len(f.Sites))
+	for i := range f.Sites {
+		f.siteInstr[i] = m.Site(f.Sites[i].Name)
+	}
+	for i := range f.solvers {
+		f.solvers[i].Opts.Metrics = m.SiteSolveMetrics(f.Sites[i].Name)
 	}
 }
 
-// Chunks is the load-split granularity of Step: the slot's arrivals are
-// allocated in λ/Chunks increments by greedy marginal cost.
-const Chunks = 100
+// SetSettleObserver attaches the per-slot settle hook (nil detaches). The
+// observer runs synchronously inside Settle; it sees the slot index being
+// settled and the outcome Settle was called with.
+func (f *Fleet) SetSettleObserver(ob SettleObserver) { f.settleOb = ob }
 
-// Step distributes lambda across the sites minimizing the federation's P3
-// objective Σ_k [V·g_k + q_k·y_k], operates each site, and returns the
-// outcome. Call Settle with the realized off-site generation afterwards.
-//
-// The split runs on the memoized greedy engine of split.go: bit-identical
-// to the naive O(Chunks·K)-solve loop (kept as stepNaive, pinned by golden
-// hash tests) at O(Chunks + K) P3 solves, with the candidate evaluations
-// optionally fanned across SetWorkers goroutines. Real solver failures
-// abort the step and count into geo.solve_errors; capacity infeasibility
-// never does — a full site is a legitimate split answer.
-func (sys *System) Step(lambda float64, v float64) (StepOutcome, error) {
-	if err := sys.validateLoad(lambda); err != nil {
-		return StepOutcome{}, err
+// TotalCapacityRPS returns the fleet's aggregate γ-discounted capacity.
+func (f *Fleet) TotalCapacityRPS() float64 { return f.totalCap }
+
+// Queue exposes site k's deficit-queue length.
+func (f *Fleet) Queue(k int) float64 { return f.queues[k].Len() }
+
+// Slot returns the next slot to be stepped.
+func (f *Fleet) Slot() int { return f.slot }
+
+// validateLoad guards both steps: horizon not exhausted, a finite
+// non-negative load within the fleet's aggregate capacity, and a finite V.
+func (f *Fleet) validateLoad(lambda, v float64) error {
+	if f.slot >= f.Slots {
+		return errors.New("geo: horizon exhausted")
 	}
-	k := len(sys.Sites)
-	stepSpan := sys.tracer.StartRoot("geo.step",
-		span.Int("slot", sys.slot), span.Float("lambda_rps", lambda),
-		span.Float("v", v), span.Int("sites", k),
-		span.Int("workers", max(sys.workers, 1)))
-	defer stepSpan.End()
-	plan, err := sys.greedySplit(lambda, v)
-	if err != nil {
-		stepSpan.Set(span.Str("error", err.Error()),
-			span.Int("p3_solves", plan.p3Solves), span.Int("memo_hits", plan.memoHits))
-		if !errors.Is(err, errNoAbsorb) {
-			sys.metrics.IncSolveError()
-		}
-		return StepOutcome{}, err
+	if !(lambda >= 0) || math.IsInf(lambda, 1) {
+		return fmt.Errorf("geo: load %v must be finite and non-negative", lambda)
 	}
-	out := StepOutcome{Sites: make([]SiteOutcome, k)}
-	for i := 0; i < k; i++ {
-		var siteSpan *span.Span
-		if stepSpan != nil {
-			siteSpan = stepSpan.Child("geo.site",
-				span.Str("site", sys.Sites[i].Name),
-				span.Float("load_rps", plan.split[i]),
-				span.Int("chunks", plan.chunks[i]),
-				span.Float("marginal_usd", plan.marginal[i]),
-				span.Float("queue_kwh", sys.queues[i].Len()))
-		}
-		so := SiteOutcome{LoadRPS: plan.split[i]}
-		if plan.split[i] > 0 {
-			// The site's last winning candidate was solved at exactly this
-			// load: reuse it instead of the naive loop's final re-solve.
-			so = sys.operate(i, plan.split[i], plan.sols[i])
-			plan.memoHits++
-		}
-		if siteSpan != nil {
-			siteSpan.Set(
-				span.Int("speed", so.Speed), span.Int("active", so.Active),
-				span.Float("cost_usd", so.CostUSD), span.Float("grid_kwh", so.GridKWh))
-			siteSpan.End()
-		}
-		sys.metrics.ObserveSite(sys.Sites[i].Name, so.LoadRPS, plan.chunks[i], so.CostUSD, so.GridKWh)
-		out.Sites[i] = so
-		out.TotalCostUSD += so.CostUSD
-		out.TotalGridKWh += so.GridKWh
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("geo: V %v must be finite", v)
 	}
-	sys.metrics.ObserveStep(out.TotalCostUSD, out.TotalGridKWh)
-	sys.metrics.ObserveSplit(plan.p3Solves, plan.memoHits)
-	if stepSpan != nil {
-		stepSpan.Set(
-			span.Float("total_usd", out.TotalCostUSD),
-			span.Float("total_grid_kwh", out.TotalGridKWh),
-			span.Int("p3_solves", plan.p3Solves),
-			span.Int("memo_hits", plan.memoHits))
+	if lambda > f.totalCap {
+		return fmt.Errorf("geo: load %v exceeds federation capacity %v", lambda, f.totalCap)
 	}
-	return out, nil
+	return nil
 }
 
-// Settle finishes the slot: every site's deficit queue absorbs its
-// realized grid draw against its own off-site generation, and the clock
-// advances.
-func (sys *System) Settle(out StepOutcome) {
-	for i := range sys.Sites {
-		sys.metrics.SetDeficit(sys.Sites[i].Name, sys.settleSite(i, out.Sites[i].GridKWh))
-	}
-	sys.slot++
-}
-
-// ProportionalSplit is the carbon- and price-blind baseline: load shares
-// proportional to site capacity. It returns the same outcome structure so
-// runs are directly comparable, and shares Step's validateLoad guards
-// (horizon, negative load, capacity). The per-site solves fan across the
-// SetWorkers pool — each site writes only its own outcome slot, errors
-// reduce to the lowest site index, and totals accumulate sequentially in
-// site order, so every pool width produces bit-identical results.
-func (sys *System) ProportionalSplit(lambda float64, v float64) (StepOutcome, error) {
-	if err := sys.validateLoad(lambda); err != nil {
-		return StepOutcome{}, err
-	}
-	out := StepOutcome{Sites: make([]SiteOutcome, len(sys.Sites))}
-	err := sys.fanProportional(lambda, make([]error, len(sys.Sites)), func(i int, mu float64) error {
-		out.Sites[i].LoadRPS = mu
-		if mu <= 0 {
-			return nil
+// Settle finishes the slot: every site's deficit queue absorbs its realized
+// grid draw against its own off-site generation, and the clock advances.
+func (f *Fleet) Settle(out StepOutcome) {
+	t := f.slot
+	for i := range f.Sites {
+		q := f.queues[i].Update(out.Sites[i].GridKWh, f.Sites[i].Portfolio.OffsiteKWh.Values[t])
+		if f.metrics != nil {
+			f.siteInstr[i].DeficitKWh.Set(q)
 		}
-		sol, err := sys.siteProblem(i, v, mu).Solve()
-		if err != nil {
-			return err
-		}
-		out.Sites[i] = sys.operate(i, mu, sol)
-		return nil
-	})
-	if err != nil {
-		return StepOutcome{}, err
 	}
-	for _, so := range out.Sites {
-		out.TotalCostUSD += so.CostUSD
-		out.TotalGridKWh += so.GridKWh
+	if f.settleOb != nil {
+		f.settleOb(t, out)
 	}
-	return out, nil
-}
-
-// operate charges site k's solved configuration at load mu through the
-// site's Ledger.
-func (sys *System) operate(k int, mu float64, sol p3.HomogeneousSolution) SiteOutcome {
-	ch := sys.siteLedger(k).Charge(sol.PowerKW, sol.DelayCost, 0)
-	return SiteOutcome{
-		LoadRPS: mu, Speed: sol.Speed, Active: sol.Active,
-		PowerKW: ch.PowerKW, GridKWh: ch.GridKWh, DelayCost: ch.DelayCost, CostUSD: ch.TotalUSD,
-	}
+	f.slot++
 }

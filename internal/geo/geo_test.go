@@ -12,7 +12,7 @@ import (
 )
 
 // opteronCluster is a single-group Opteron cluster of n servers, the
-// shape a System site runs.
+// shape a homogeneous fleet site runs.
 func opteronCluster(n int) *dcmodel.Cluster {
 	return &dcmodel.Cluster{Groups: []dcmodel.Group{{Type: dcmodel.Opteron(), N: n}}, Gamma: 0.95, PUE: 1}
 }
@@ -43,29 +43,32 @@ func makeSites(slots int) []FleetSite {
 	}
 }
 
+// TestNewSystemValidation pins the constructor rules of a homogeneous
+// federation system (NewHomogeneousFleet) and that NewFleet, unlike it,
+// accepts a mixed-type site.
 func TestNewSystemValidation(t *testing.T) {
 	slots := 48
 	good := makeSites(slots)
-	if _, err := NewSystem(good, 0.01, slots); err != nil {
+	if _, err := NewHomogeneousFleet(good, 0.01, slots); err != nil {
 		t.Fatalf("valid system rejected: %v", err)
 	}
-	if _, err := NewSystem(nil, 0.01, slots); err == nil {
+	if _, err := NewHomogeneousFleet(nil, 0.01, slots); err == nil {
 		t.Error("empty federation accepted")
 	}
-	if _, err := NewSystem(good, -1, slots); err == nil {
+	if _, err := NewHomogeneousFleet(good, -1, slots); err == nil {
 		t.Error("negative beta accepted")
 	}
-	if _, err := NewSystem(good, 0.01, 0); err == nil {
+	if _, err := NewHomogeneousFleet(good, 0.01, 0); err == nil {
 		t.Error("zero horizon accepted")
 	}
 	bad := makeSites(slots)
 	bad[0].Cluster = opteronCluster(0)
-	if _, err := NewSystem(bad, 0.01, slots); err == nil {
+	if _, err := NewHomogeneousFleet(bad, 0.01, slots); err == nil {
 		t.Error("bad site accepted")
 	}
 	mixed := makeSites(slots)
 	mixed[1].Cluster = dcmodel.HeterogeneousCluster(100, 2)
-	if _, err := NewSystem(mixed, 0.01, slots); err == nil {
+	if _, err := NewHomogeneousFleet(mixed, 0.01, slots); err == nil {
 		t.Error("mixed-type site accepted")
 	}
 	if _, err := NewFleet(mixed, 0.01, slots, gsd.Options{}); err != nil {
@@ -75,11 +78,11 @@ func TestNewSystemValidation(t *testing.T) {
 
 func TestStepSplitsTowardCheapSite(t *testing.T) {
 	slots := 24
-	sys, err := NewSystem(makeSites(slots), 0.005, slots)
+	sys, err := NewHomogeneousFleet(makeSites(slots), 0.005, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sys.Step(600, 100)
+	out, err := sys.GreedyStep(600, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +102,12 @@ func TestStepSplitsTowardCheapSite(t *testing.T) {
 func TestStepBeatsProportionalSplit(t *testing.T) {
 	slots := 48
 	sitesA := makeSites(slots)
-	sysA, err := NewSystem(sitesA, 0.005, slots)
+	sysA, err := NewHomogeneousFleet(sitesA, 0.005, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sitesB := makeSites(slots)
-	sysB, err := NewSystem(sitesB, 0.005, slots)
+	sysB, err := NewHomogeneousFleet(sitesB, 0.005, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,13 +115,13 @@ func TestStepBeatsProportionalSplit(t *testing.T) {
 	var smart, naive float64
 	for tt := 0; tt < slots; tt++ {
 		lambda := 200 + 800*wl.Values[tt]
-		oa, err := sysA.Step(lambda, 100)
+		oa, err := sysA.GreedyStep(lambda, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sysA.Settle(oa)
 		smart += oa.TotalCostUSD
-		ob, err := sysB.ProportionalSplit(lambda, 100)
+		ob, err := sysB.Step(lambda, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,18 +138,18 @@ func TestStepBeatsProportionalSplit(t *testing.T) {
 
 func TestStepRespectsCapacity(t *testing.T) {
 	slots := 10
-	sys, err := NewSystem(makeSites(slots), 0.01, slots)
+	sys, err := NewHomogeneousFleet(makeSites(slots), 0.01, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Step(sys.TotalCapacityRPS()+1, 100); err == nil {
+	if _, err := sys.GreedyStep(sys.TotalCapacityRPS()+1, 100); err == nil {
 		t.Error("over-capacity load accepted")
 	}
-	if _, err := sys.Step(-1, 100); err == nil {
+	if _, err := sys.GreedyStep(-1, 100); err == nil {
 		t.Error("negative load accepted")
 	}
 	// Per-site caps: with one site saturated the other absorbs the rest.
-	out, err := sys.Step(sys.TotalCapacityRPS()*0.99, 100)
+	out, err := sys.GreedyStep(sys.TotalCapacityRPS()*0.99, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +171,13 @@ func TestQueueFeedbackShiftsLoad(t *testing.T) {
 	sites[0].Portfolio.OffsiteKWh = trace.Constant("f", 0, slots)
 	sites[0].Portfolio.RECsKWh = 1
 	sites[1].Portfolio.RECsKWh = float64(slots) * 50
-	sys, err := NewSystem(sites, 0.005, slots)
+	sys, err := NewHomogeneousFleet(sites, 0.005, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var early, late float64
 	for tt := 0; tt < 160; tt++ {
-		out, err := sys.Step(600, 100)
+		out, err := sys.GreedyStep(600, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,11 +203,11 @@ func TestQueueFeedbackShiftsLoad(t *testing.T) {
 
 func TestZeroLoadSlot(t *testing.T) {
 	slots := 5
-	sys, err := NewSystem(makeSites(slots), 0.01, slots)
+	sys, err := NewHomogeneousFleet(makeSites(slots), 0.01, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sys.Step(0, 100)
+	out, err := sys.GreedyStep(0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,18 +218,18 @@ func TestZeroLoadSlot(t *testing.T) {
 
 func TestHorizonExhaustion(t *testing.T) {
 	slots := 2
-	sys, err := NewSystem(makeSites(slots), 0.01, slots)
+	sys, err := NewHomogeneousFleet(makeSites(slots), 0.01, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for tt := 0; tt < slots; tt++ {
-		out, err := sys.Step(10, 100)
+		out, err := sys.GreedyStep(10, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sys.Settle(out)
 	}
-	if _, err := sys.Step(10, 100); err == nil {
+	if _, err := sys.GreedyStep(10, 100); err == nil {
 		t.Error("step beyond horizon accepted")
 	}
 }

@@ -1,25 +1,24 @@
 package geo
 
 import (
-	"fmt"
 	"math"
 )
 
-// stepNaive is the pre-memoization reference implementation of Step, kept
-// verbatim (minus observability) as the bit-for-bit yardstick for the
-// split hot path: golden tests require Step's allocation and operated
+// stepNaive is the pre-memoization reference implementation of GreedyStep,
+// kept (minus observability) as the bit-for-bit yardstick for the split
+// hot path: golden tests require GreedyStep's allocation and operated
 // outcome to hash identically to this loop, and its solve count is the
 // baseline the memo counters are measured against. It re-solves every
 // feasible site's P3 in every greedy round — O(Chunks·K) solves — and
-// solves each loaded site once more in the operate pass; the memoized path
+// solves each loaded site once more in the charge pass; the memoized path
 // must account for exactly those solves as p3Solves + memoHits.
 //
 // It does not advance the slot; Settle the returned outcome as usual.
-func (sys *System) stepNaive(lambda, v float64) (StepOutcome, int, error) {
-	if err := sys.validateLoad(lambda); err != nil {
+func (f *Fleet) stepNaive(lambda, v float64) (StepOutcome, int, error) {
+	if err := f.validateLoad(lambda, v); err != nil {
 		return StepOutcome{}, 0, err
 	}
-	k := len(sys.Sites)
+	k := len(f.Sites)
 	solves := 0
 	split := make([]float64, k)
 	if lambda > 0 {
@@ -29,11 +28,11 @@ func (sys *System) stepNaive(lambda, v float64) (StepOutcome, int, error) {
 			best := -1
 			bestDelta := math.Inf(1)
 			for i := 0; i < k; i++ {
-				if split[i]+chunk > sys.caps[i] {
+				if split[i]+chunk > f.caps[i] {
 					continue
 				}
 				solves++
-				delta := sys.siteValue(i, v, split[i]+chunk) - cur[i]
+				delta := f.siteValue(i, v, split[i]+chunk) - cur[i]
 				if delta < bestDelta {
 					best, bestDelta = i, delta
 				}
@@ -50,14 +49,11 @@ func (sys *System) stepNaive(lambda, v float64) (StepOutcome, int, error) {
 		so := SiteOutcome{LoadRPS: split[i]}
 		if split[i] > 0 {
 			solves++
-			sol, err := sys.siteProblem(i, v, split[i]).Solve()
+			s, err := f.solveSite(i, v, split[i])
 			if err != nil {
-				return StepOutcome{}, solves, fmt.Errorf("geo: site %s: %w", sys.Sites[i].Name, err)
+				return StepOutcome{}, solves, f.siteError(i, err)
 			}
-			so.Speed, so.Active = sol.Speed, sol.Active
-			ch := sys.siteLedger(i).Charge(sol.PowerKW, sol.DelayCost, 0)
-			so.PowerKW, so.GridKWh, so.DelayCost = ch.PowerKW, ch.GridKWh, ch.DelayCost
-			so.CostUSD = ch.TotalUSD
+			so = f.charge(i, split[i], s)
 		}
 		out.Sites[i] = so
 		out.TotalCostUSD += so.CostUSD
@@ -69,14 +65,14 @@ func (sys *System) stepNaive(lambda, v float64) (StepOutcome, int, error) {
 // siteValue returns site k's P3 optimum value at load mu (+Inf when the
 // site cannot carry mu). The hot path goes through evalSite instead, which
 // additionally separates real solver errors from capacity infeasibility.
-func (sys *System) siteValue(k int, v, mu float64) float64 {
+func (f *Fleet) siteValue(k int, v, mu float64) float64 {
 	if mu == 0 {
 		// An empty site powers down: zero P3 value.
 		return 0
 	}
-	sol, err := sys.siteProblem(k, v, mu).Solve()
+	s, err := f.solveSite(k, v, mu)
 	if err != nil {
 		return math.Inf(1)
 	}
-	return sol.Value
+	return s.Value
 }

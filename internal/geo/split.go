@@ -2,18 +2,19 @@ package geo
 
 import (
 	"errors"
-	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/p3"
+	"repro/internal/telemetry/span"
 	"repro/internal/workpool"
 )
 
 // This file is the geo split hot path: the memoized, incremental and
-// optionally parallel greedy marginal allocation behind System.Step. It is
-// pinned bit-for-bit against the naive reference loop in naive.go (see
-// TestGoldenSplitParity), which it replaces at O(Chunks + K) P3 solves per
-// slot instead of O(Chunks·K).
+// optionally parallel greedy marginal allocation behind GreedyStep. It is
+// pinned bit-for-bit against the naive reference loop in naive_test.go
+// (see TestGoldenSplitParity), which it replaces at O(Chunks + K) P3
+// solves per slot instead of O(Chunks·K).
 //
 // The key invariant: site values are only ever needed on the per-slot grid
 // μ = split_i + chunk where split_i accumulates whole chunks, and within a
@@ -21,10 +22,87 @@ import (
 // carries exactly one cached candidate — its marginal value for absorbing
 // the *next* chunk — and a greedy round invalidates only the winner's
 // entry. Everything else is a memo hit the naive loop would have paid a
-// fresh HomogeneousProblem.Solve for.
+// fresh site solve for.
 
-// errNoAbsorb is the Step failure when the greedy allocation strands load:
-// every site is either at capacity for the next chunk or P3-infeasible.
+// Chunks is the load-split granularity of GreedyStep: the slot's arrivals
+// are allocated in λ/Chunks increments by greedy marginal cost.
+const Chunks = 100
+
+// GreedyStep distributes lambda across the sites minimizing the fleet's P3
+// objective Σ_k [V·g_k + q_k·y_k], operates each site, and returns the
+// outcome. Call Settle with the outcome afterwards.
+//
+// The split runs on the memoized greedy engine below: bit-identical to
+// the naive O(Chunks·K)-solve loop (kept as stepNaive, pinned by golden
+// hash tests) at O(Chunks + K) site solves, with the initial candidate
+// evaluations optionally fanned across SetWorkers goroutines. Real solver
+// failures abort the step and count into the failing site's solve_errors;
+// capacity infeasibility never does — a full site is a legitimate split
+// answer.
+func (f *Fleet) GreedyStep(lambda, v float64) (StepOutcome, error) {
+	if err := f.validateLoad(lambda, v); err != nil {
+		return StepOutcome{}, err
+	}
+	var stepStart time.Time
+	if f.metrics != nil {
+		stepStart = time.Now()
+	}
+	k := len(f.Sites)
+	stepSpan := f.tracer.StartRoot("geo.step",
+		span.Int("slot", f.slot), span.Float("lambda_rps", lambda),
+		span.Float("v", v), span.Int("sites", k),
+		span.Int("workers", max(f.workers, 1)))
+	defer stepSpan.End()
+	plan, err := f.greedySplit(lambda, v)
+	if err != nil {
+		stepSpan.Set(span.Str("error", err.Error()),
+			span.Int("p3_solves", plan.p3Solves), span.Int("memo_hits", plan.memoHits))
+		return StepOutcome{}, err
+	}
+	out := StepOutcome{Sites: make([]SiteOutcome, k)}
+	for i := 0; i < k; i++ {
+		var siteSpan *span.Span
+		if stepSpan != nil {
+			siteSpan = stepSpan.Child("geo.site",
+				span.Str("site", f.Sites[i].Name),
+				span.Float("load_rps", plan.split[i]),
+				span.Int("chunks", plan.chunks[i]),
+				span.Float("marginal_usd", plan.marginal[i]),
+				span.Float("queue_kwh", f.queues[i].Len()))
+		}
+		so := SiteOutcome{LoadRPS: plan.split[i]}
+		if plan.split[i] > 0 {
+			// The site's last winning candidate was solved at exactly this
+			// load: reuse it instead of the naive loop's final re-solve.
+			so = f.charge(i, plan.split[i], plan.sols[i])
+			plan.memoHits++
+		}
+		if siteSpan != nil {
+			siteSpan.Set(
+				span.Int("speed", so.Speed), span.Int("active", so.Active),
+				span.Float("cost_usd", so.CostUSD), span.Float("grid_kwh", so.GridKWh))
+			siteSpan.End()
+		}
+		out.Sites[i] = so
+	}
+	f.finish(&out, plan.chunks, stepStart)
+	if f.metrics != nil {
+		f.metrics.P3Solves.Add(float64(plan.p3Solves))
+		f.metrics.MemoHits.Add(float64(plan.memoHits))
+	}
+	if stepSpan != nil {
+		stepSpan.Set(
+			span.Float("total_usd", out.TotalCostUSD),
+			span.Float("total_grid_kwh", out.TotalGridKWh),
+			span.Int("p3_solves", plan.p3Solves),
+			span.Int("memo_hits", plan.memoHits))
+	}
+	return out, nil
+}
+
+// errNoAbsorb is the GreedyStep failure when the greedy allocation
+// strands load: every site is either at capacity for the next chunk or
+// P3-infeasible.
 var errNoAbsorb = errors.New("geo: no site can absorb the next chunk")
 
 // candidate is one site's slot of the per-slot value table: the site's P3
@@ -36,7 +114,7 @@ type candidate struct {
 	fresh bool    // solved this round; reset to a memo hit on first scan
 	value float64 // P3 optimum at split_i + chunk (+Inf when infeasible)
 	delta float64 // value − cur_i, the greedy marginal cost
-	sol   p3.HomogeneousSolution
+	sol   siteSolve
 	err   error // real solver failure (never capacity infeasibility)
 }
 
@@ -46,38 +124,37 @@ type splitPlan struct {
 	split    []float64 // allocated load per site
 	chunks   []int     // greedy chunks won per site
 	marginal []float64 // last winning marginal cost per site
-	sols     []p3.HomogeneousSolution
-	p3Solves int // fresh HomogeneousProblem.Solve calls spent
+	sols     []siteSolve
+	p3Solves int // fresh site solves spent
 	memoHits int // candidate reads (and final-pass reuses) served from cache
 }
 
 // evalSite solves site i's P3 at load mu, separating the two failure
 // modes: capacity-type infeasibility (p3.ErrInfeasible) is a legitimate
 // "site full" answer reported as +Inf, while any other error — a malformed
-// instance, a corrupted load — is a real failure the step must surface
-// (previously every error was masked as +Inf).
-func (sys *System) evalSite(i int, v, mu float64) (float64, p3.HomogeneousSolution, error) {
-	sol, err := sys.siteProblem(i, v, mu).Solve()
+// instance, a corrupted cluster — is a real failure the step must surface.
+func (f *Fleet) evalSite(i int, v, mu float64) (float64, siteSolve, error) {
+	s, err := f.solveSite(i, v, mu)
 	if err != nil {
 		if errors.Is(err, p3.ErrInfeasible) {
-			return math.Inf(1), p3.HomogeneousSolution{}, nil
+			return math.Inf(1), siteSolve{}, nil
 		}
-		return 0, p3.HomogeneousSolution{}, err
+		return 0, siteSolve{}, err
 	}
-	return sol.Value, sol, nil
+	return s.Value, s, nil
 }
 
 // greedySplit allocates lambda across the sites in λ/Chunks increments by
 // greedy marginal cost — arithmetic identical to stepNaive, with the
 // candidate table absorbing every redundant re-solve and the worker pool
 // fanning the initial K evaluations.
-func (sys *System) greedySplit(lambda, v float64) (splitPlan, error) {
-	k := len(sys.Sites)
+func (f *Fleet) greedySplit(lambda, v float64) (splitPlan, error) {
+	k := len(f.Sites)
 	plan := splitPlan{
 		split:    make([]float64, k),
 		chunks:   make([]int, k),
 		marginal: make([]float64, k),
-		sols:     make([]p3.HomogeneousSolution, k),
+		sols:     make([]siteSolve, k),
 	}
 	if lambda <= 0 {
 		return plan, nil
@@ -88,11 +165,11 @@ func (sys *System) greedySplit(lambda, v float64) (splitPlan, error) {
 	eval := func(i int) {
 		c := &cand[i]
 		*c = candidate{fresh: true}
-		if plan.split[i]+chunk > sys.caps[i] {
+		if plan.split[i]+chunk > f.caps[i] {
 			return
 		}
 		c.capOK = true
-		c.value, c.sol, c.err = sys.evalSite(i, v, plan.split[i]+chunk)
+		c.value, c.sol, c.err = f.evalSite(i, v, plan.split[i]+chunk)
 		c.delta = c.value - cur[i]
 	}
 
@@ -100,14 +177,14 @@ func (sys *System) greedySplit(lambda, v float64) (splitPlan, error) {
 	// the worker pool. Each job writes only its own table slot, so the
 	// result — and the lowest-index error below — is independent of
 	// scheduling.
-	workpool.Fan(sys.workers, k, eval)
+	workpool.Fan(f.workers, k, eval)
 	for i := range cand {
 		if !cand[i].capOK {
 			continue
 		}
 		plan.p3Solves++
 		if cand[i].err != nil {
-			return plan, fmt.Errorf("geo: site %s: %w", sys.Sites[i].Name, cand[i].err)
+			return plan, f.siteError(i, cand[i].err)
 		}
 	}
 
@@ -135,7 +212,7 @@ func (sys *System) greedySplit(lambda, v float64) (splitPlan, error) {
 		plan.chunks[best]++
 		plan.marginal[best] = bestDelta
 		// The winning candidate was solved at exactly the new split: keep
-		// its solution so the operate pass never re-solves.
+		// its solution so the charge pass never re-solves.
 		plan.sols[best] = cand[best].sol
 		if c+1 == Chunks {
 			break // no next round: the naive loop stops evaluating too
@@ -146,7 +223,7 @@ func (sys *System) greedySplit(lambda, v float64) (splitPlan, error) {
 		if cand[best].capOK {
 			plan.p3Solves++
 			if cand[best].err != nil {
-				return plan, fmt.Errorf("geo: site %s: %w", sys.Sites[best].Name, cand[best].err)
+				return plan, f.siteError(best, cand[best].err)
 			}
 		}
 	}

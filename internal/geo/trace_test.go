@@ -34,19 +34,19 @@ func readSpans(t *testing.T, tr *span.Tracer) []span.Record {
 // decision and the realized site charge.
 func TestStepTracedSpans(t *testing.T) {
 	slots := 24
-	sys, err := NewSystem(makeSites(slots), 0.005, slots)
+	sys, err := NewHomogeneousFleet(makeSites(slots), 0.005, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := span.NewTracer()
 	sys.SetTracer(tr)
 
-	out, err := sys.Step(600, 100)
+	out, err := sys.GreedyStep(600, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.Settle(out)
-	out2, err := sys.Step(400, 100)
+	out2, err := sys.GreedyStep(400, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +125,19 @@ func TestStepTracedSpans(t *testing.T) {
 	}
 }
 
-// TestStepMetrics pins the GeoMetrics wiring: federation totals and lazy
-// per-site instruments land in the registry under the geo.* prefix.
+// TestStepMetrics pins the FleetMetrics wiring of GreedyStep: federation
+// totals, split solve accounting and per-site instruments land in the
+// registry under the geo.* prefix.
 func TestStepMetrics(t *testing.T) {
 	slots := 24
-	sys, err := NewSystem(makeSites(slots), 0.005, slots)
+	sys, err := NewHomogeneousFleet(makeSites(slots), 0.005, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	sys.Instrument(telemetry.NewGeoMetrics(reg, "geo"))
+	sys.Instrument(telemetry.NewFleetMetrics(reg, "geo"))
 
-	out, err := sys.Step(600, 100)
+	out, err := sys.GreedyStep(600, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +153,8 @@ func TestStepMetrics(t *testing.T) {
 	if got := snap.Counters["geo.memo_hits"]; got <= 0 {
 		t.Fatalf("geo.memo_hits = %v, want > 0", got)
 	}
-	if got := snap.Counters["geo.solve_errors"]; got != 0 {
-		t.Fatalf("geo.solve_errors = %v on a healthy step", got)
+	if got := solveErrors(snap, sys); got != 0 {
+		t.Fatalf("geo.site.solve_errors = %v on a healthy step", got)
 	}
 	if got := snap.Counters["geo.total_usd"]; got != out.TotalCostUSD {
 		t.Fatalf("geo.total_usd = %v, want %v", got, out.TotalCostUSD)
@@ -187,24 +188,24 @@ func TestStepMetrics(t *testing.T) {
 // and instrumented federation steps to the same outcome as a bare one.
 func TestStepTracedMatchesUntraced(t *testing.T) {
 	slots := 24
-	plainSys, err := NewSystem(makeSites(slots), 0.005, slots)
+	plainSys, err := NewHomogeneousFleet(makeSites(slots), 0.005, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracedSys, err := NewSystem(makeSites(slots), 0.005, slots)
+	tracedSys, err := NewHomogeneousFleet(makeSites(slots), 0.005, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tracedSys.SetTracer(span.NewTracer())
-	tracedSys.Instrument(telemetry.NewGeoMetrics(telemetry.NewRegistry(), "geo"))
+	tracedSys.Instrument(telemetry.NewFleetMetrics(telemetry.NewRegistry(), "geo"))
 
 	for slot := 0; slot < 3; slot++ {
 		lambda := 500 + 50*float64(slot)
-		want, err := plainSys.Step(lambda, 100)
+		want, err := plainSys.GreedyStep(lambda, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tracedSys.Step(lambda, 100)
+		got, err := tracedSys.GreedyStep(lambda, 100)
 		if err != nil {
 			t.Fatal(err)
 		}

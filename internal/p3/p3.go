@@ -3,13 +3,15 @@
 //
 //   - Enumerate, an exhaustive oracle over all speed vectors, exact but
 //     exponential — the correctness yardstick for everything else;
-//   - HomogeneousSolver, a fast exact solver for fleets of identical servers
-//     that exploits symmetry: at the optimum of a symmetric convex objective,
-//     all active servers run at one speed with equal load, so it suffices to
-//     enumerate the speed level and search the active-server count (the
-//     objective is convex in the count). This is the solver that drives the
-//     year-long simulation sweeps; GSD (package gsd) is the paper's
-//     distributed solver and is cross-validated against both.
+//   - HomogeneousProblem, a fast closed form for a fleet of identical
+//     servers that exploits symmetry: at the optimum of a symmetric convex
+//     objective, all active servers run at one speed with equal load, so it
+//     suffices to enumerate the speed level and search the active-server
+//     count (the objective is convex in the count). It decides in servers,
+//     not groups, so it is not a Solver; it drives the year-long
+//     simulation sweeps (core.Policy) and the homogeneous geo fleet. GSD
+//     (package gsd) is the paper's distributed solver and is
+//     cross-validated against both.
 package p3
 
 import (
@@ -251,62 +253,3 @@ func (hp *HomogeneousProblem) Solve() (HomogeneousSolution, error) {
 	}
 	return best, nil
 }
-
-// HomogeneousSolver adapts HomogeneousProblem to the group-level Solver
-// interface for clusters whose groups all share one ServerType. The returned
-// solution activates whole groups in order and places the remainder in a
-// final partially-loaded group at the chosen speed; the tiny inefficiency of
-// the partial group's idle-but-on servers is charged honestly in Value.
-type HomogeneousSolver struct {
-	// SwitchWeight and PrevActive mirror HomogeneousProblem.
-	SwitchWeight float64
-	PrevActive   int
-}
-
-// Solve implements Solver for same-type clusters.
-func (hs *HomogeneousSolver) Solve(p *dcmodel.SlotProblem) (dcmodel.Solution, error) {
-	groups := p.Cluster.Groups
-	st := groups[0].Type
-	totalN := 0
-	for i := range groups {
-		if groups[i].Type.Name != st.Name {
-			return dcmodel.Solution{}, errors.New("p3: HomogeneousSolver requires a single server type")
-		}
-		totalN += groups[i].N
-	}
-	hp := &HomogeneousProblem{
-		Type: st, N: totalN,
-		Gamma: p.Cluster.Gamma, PUE: p.Cluster.PUE,
-		LambdaRPS: p.LambdaRPS, We: p.We, Wd: p.Wd, OnsiteKW: p.OnsiteKW,
-		SwitchWeight: hs.SwitchWeight, PrevActive: hs.PrevActive,
-	}
-	hsol, err := hp.Solve()
-	if err != nil {
-		return dcmodel.Solution{}, err
-	}
-	speeds := make([]int, len(groups))
-	load := make([]float64, len(groups))
-	if hsol.Active > 0 {
-		perServer := p.LambdaRPS / float64(hsol.Active)
-		remaining := hsol.Active
-		for i := range groups {
-			if remaining <= 0 {
-				break
-			}
-			take := groups[i].N
-			if take > remaining {
-				take = remaining
-			}
-			speeds[i] = hsol.Speed
-			load[i] = perServer * float64(take)
-			remaining -= take
-		}
-	}
-	return dcmodel.Solution{
-		Speeds: speeds,
-		Load:   load,
-		Value:  p.Objective(speeds, load),
-	}, nil
-}
-
-var _ Solver = (*HomogeneousSolver)(nil)

@@ -174,8 +174,12 @@ func TestHomogeneousNearEnumerateOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d enumerate: %v", trial, err)
 		}
-		hs := &HomogeneousSolver{}
-		fast, err := hs.Solve(p)
+		// One server per group: the closed form over n identical servers is
+		// the same fleet, restricted to one common speed.
+		fast, err := (&HomogeneousProblem{
+			Type: dcmodel.Opteron(), N: n, Gamma: c.Gamma, PUE: c.PUE,
+			LambdaRPS: p.LambdaRPS, We: p.We, Wd: p.Wd, OnsiteKW: p.OnsiteKW,
+		}).Solve()
 		if err != nil {
 			t.Fatalf("trial %d fast: %v", trial, err)
 		}
@@ -187,41 +191,6 @@ func TestHomogeneousNearEnumerateOptimum(t *testing.T) {
 			t.Errorf("trial %d: fast %v more than 5%% above optimum %v",
 				trial, fast.Value, exact.Value)
 		}
-	}
-}
-
-func TestHomogeneousSolverGroupMapping(t *testing.T) {
-	c := &dcmodel.Cluster{
-		Groups: []dcmodel.Group{
-			{Type: dcmodel.Opteron(), N: 30},
-			{Type: dcmodel.Opteron(), N: 30},
-		},
-		Gamma: 0.95, PUE: 1,
-	}
-	p := &dcmodel.SlotProblem{Cluster: c, LambdaRPS: 200, We: 0.05, Wd: 0.01}
-	hs := &HomogeneousSolver{}
-	sol, err := hs.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CheckConfig(sol.Speeds, sol.Load); err != nil {
-		t.Fatalf("invalid group mapping: %v", err)
-	}
-	var sum float64
-	for _, l := range sol.Load {
-		sum += l
-	}
-	if math.Abs(sum-200) > 1e-6 {
-		t.Errorf("Σload = %v, want 200", sum)
-	}
-}
-
-func TestHomogeneousSolverRejectsMixedTypes(t *testing.T) {
-	c := dcmodel.HeterogeneousCluster(90, 3)
-	p := &dcmodel.SlotProblem{Cluster: c, LambdaRPS: 10, We: 1, Wd: 0.01}
-	hs := &HomogeneousSolver{}
-	if _, err := hs.Solve(p); err == nil {
-		t.Error("mixed-type cluster accepted")
 	}
 }
 

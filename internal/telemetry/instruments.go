@@ -132,160 +132,36 @@ func (m *SolveMetrics) AddSplitWork(fills, sweeps int) {
 	m.SplitSweeps.Add(float64(sweeps))
 }
 
-// GeoSiteMetrics is one federation site's slice of GeoMetrics. The
-// instruments are children of site-labeled vectors, so the exposition
-// renders them as geo_site_*{site="…"} series.
-type GeoSiteMetrics struct {
-	Solves     *Counter // slots in which the site carried load (one P3 solve each)
-	LoadRPS    *Counter // running allocated load
-	Chunks     *Counter // greedy allocation chunks won
-	CostUSD    *Counter // running site cost (w·grid + β·delay)
-	GridKWh    *Counter // running grid draw
-	DeficitKWh *Gauge   // current carbon-deficit queue length
-}
-
-// GeoMetrics instruments a geo federation run: federation-level step and
-// cost totals plus a site-labeled breakdown. It deliberately takes plain
-// values, not geo types, so package geo can import telemetry without a
-// cycle. All methods are nil-safe.
-type GeoMetrics struct {
-	Steps    *Counter
-	TotalUSD *Counter
-	GridKWh  *Counter
-
-	P3Solves    *Counter // fresh P3 solves spent on the split hot path
-	MemoHits    *Counter // candidate reads served by the per-slot memo table
-	SolveErrors *Counter // real (non-infeasibility) solver failures surfaced by Step
-
-	siteSolves  *LabeledCounter
-	siteLoad    *LabeledCounter
-	siteChunks  *LabeledCounter
-	siteCost    *LabeledCounter
-	siteGrid    *LabeledCounter
-	siteDeficit *LabeledGauge
-	sites       map[string]*GeoSiteMetrics // cached per-site handles
-}
-
-// NewGeoMetrics registers federation instruments under prefix
-// (conventionally "geo"); per-site series live in site-labeled vectors
-// ("<prefix>.site.solves"{site="…"}, …), their tuples interned the first
-// time a site is observed.
-func NewGeoMetrics(r *Registry, prefix string) *GeoMetrics {
-	p := prefix + "."
-	return &GeoMetrics{
-		Steps:       r.Counter(p + "steps"),
-		TotalUSD:    r.Counter(p + "total_usd"),
-		GridKWh:     r.Counter(p + "grid_kwh"),
-		P3Solves:    r.Counter(p + "p3_solves"),
-		MemoHits:    r.Counter(p + "memo_hits"),
-		SolveErrors: r.Counter(p + "solve_errors"),
-		siteSolves:  r.LabeledCounter(p+"site.solves", "slots in which the site carried load", "site"),
-		siteLoad:    r.LabeledCounter(p+"site.load_rps", "running load allocated to the site", "site"),
-		siteChunks:  r.LabeledCounter(p+"site.chunks", "greedy allocation chunks won by the site", "site"),
-		siteCost:    r.LabeledCounter(p+"site.cost_usd", "running site cost (w*grid + beta*delay)", "site"),
-		siteGrid:    r.LabeledCounter(p+"site.grid_kwh", "running site grid draw", "site"),
-		siteDeficit: r.LabeledGauge(p+"site.deficit_kwh", "site carbon-deficit queue length", "site"),
-		sites:       make(map[string]*GeoSiteMetrics),
-	}
-}
-
-// Site returns (interning on first use) the named site's instruments.
-func (m *GeoMetrics) Site(name string) *GeoSiteMetrics {
-	if m == nil {
-		return nil
-	}
-	if s, ok := m.sites[name]; ok {
-		return s
-	}
-	s := &GeoSiteMetrics{
-		Solves:     m.siteSolves.With(name),
-		LoadRPS:    m.siteLoad.With(name),
-		Chunks:     m.siteChunks.With(name),
-		CostUSD:    m.siteCost.With(name),
-		GridKWh:    m.siteGrid.With(name),
-		DeficitKWh: m.siteDeficit.With(name),
-	}
-	m.sites[name] = s
-	return s
-}
-
-// ObserveStep folds one federation slot's totals into the instruments.
-func (m *GeoMetrics) ObserveStep(totalUSD, totalGridKWh float64) {
-	if m == nil {
-		return
-	}
-	m.Steps.Inc()
-	m.TotalUSD.Add(totalUSD)
-	m.GridKWh.Add(totalGridKWh)
-}
-
-// ObserveSite folds one site's share of a slot into the instruments.
-func (m *GeoMetrics) ObserveSite(name string, loadRPS float64, chunks int, costUSD, gridKWh float64) {
-	if m == nil {
-		return
-	}
-	s := m.Site(name)
-	if loadRPS > 0 {
-		s.Solves.Inc()
-	}
-	s.LoadRPS.Add(loadRPS)
-	s.Chunks.Add(float64(chunks))
-	s.CostUSD.Add(costUSD)
-	s.GridKWh.Add(gridKWh)
-}
-
-// ObserveSplit folds one slot's split-path solve accounting into the
-// instruments: fresh P3 solves spent and the candidate evaluations the
-// per-slot memo table absorbed (each hit is a solve the naive greedy loop
-// would have paid for).
-func (m *GeoMetrics) ObserveSplit(p3Solves, memoHits int) {
-	if m == nil {
-		return
-	}
-	m.P3Solves.Add(float64(p3Solves))
-	m.MemoHits.Add(float64(memoHits))
-}
-
-// IncSolveError records a real solver failure — anything beyond
-// capacity-type infeasibility — surfaced by a federation step.
-func (m *GeoMetrics) IncSolveError() {
-	if m == nil {
-		return
-	}
-	m.SolveErrors.Inc()
-}
-
-// SetDeficit records a site's current carbon-deficit queue length.
-func (m *GeoMetrics) SetDeficit(name string, kwh float64) {
-	if m == nil {
-		return
-	}
-	m.Site(name).DeficitKWh.Set(kwh)
-}
-
 // FleetSiteMetrics is one fleet site's slice of FleetMetrics: the slot
-// outcome series. Solver-side stats (iterations, dual rounds, solve wall
-// time) live in the per-shard SolveMetrics from SiteSolveMetrics.
+// outcome series. The instruments are children of site-labeled vectors,
+// so the exposition renders them as <prefix>_site_*{site="…"} series.
+// Solver-side stats (iterations, dual rounds, solve wall time) live in the
+// per-shard SolveMetrics from SiteSolveMetrics.
 type FleetSiteMetrics struct {
 	LoadRPS     *Counter // running load allocated to the site
+	Chunks      *Counter // greedy allocation chunks won (GreedyStep only)
 	CostUSD     *Counter // running site cost (w·grid + β·delay)
 	GridKWh     *Counter // running grid draw
-	SolveErrors *Counter // solver failures surfaced by the site's shard
+	SolveErrors *Counter // real (non-infeasibility) solver failures at the site
 	DeficitKWh  *Gauge   // current carbon-deficit queue length
 }
 
 // FleetMetrics instruments a geo.Fleet run: fleet-level step totals and
-// wall time plus a site-labeled breakdown, including per-shard GSD solve
-// stats assembled from the same labeled vectors (SiteSolveMetrics). Like
-// GeoMetrics it takes plain values so geo imports telemetry, not the
-// other way round. All methods are nil-safe.
+// wall time, the greedy split's solve accounting, and a site-labeled
+// breakdown, including per-shard GSD solve stats assembled from the same
+// labeled vectors (SiteSolveMetrics). It deliberately takes plain values,
+// not geo types, so package geo can import telemetry without a cycle. All
+// methods are nil-safe.
 type FleetMetrics struct {
 	Steps       *Counter   // stepped fleet slots
 	TotalUSD    *Counter   // running fleet cost
 	GridKWh     *Counter   // running fleet grid draw
-	StepSeconds *Histogram // wall time per fleet Step (fan-out included)
+	StepSeconds *Histogram // wall time per fleet step (fan-out included)
+	P3Solves    *Counter   // fresh site solves spent on the GreedyStep split
+	MemoHits    *Counter   // split candidate reads served by the per-slot memo table
 
 	siteLoad    *LabeledCounter
+	siteChunks  *LabeledCounter
 	siteCost    *LabeledCounter
 	siteGrid    *LabeledCounter
 	siteErrors  *LabeledCounter
@@ -308,7 +184,7 @@ type FleetMetrics struct {
 }
 
 // NewFleetMetrics registers fleet instruments under prefix
-// (conventionally "fleet"). Site series are labeled vectors
+// (conventionally "fleet"; the geo study uses "geo"). Site series are labeled vectors
 // ("<prefix>.site.load_rps"{site="…"}, …); shard solver series mirror
 // SolveMetrics names under "<prefix>.shard.*"{site="…"}.
 func NewFleetMetrics(r *Registry, prefix string) *FleetMetrics {
@@ -318,11 +194,14 @@ func NewFleetMetrics(r *Registry, prefix string) *FleetMetrics {
 		TotalUSD:    r.Counter(p + "total_usd"),
 		GridKWh:     r.Counter(p + "grid_kwh"),
 		StepSeconds: r.Histogram(p+"step_seconds", ExpBuckets(1e-5, 4, 14)),
+		P3Solves:    r.Counter(p + "p3_solves"),
+		MemoHits:    r.Counter(p + "memo_hits"),
 
 		siteLoad:    r.LabeledCounter(p+"site.load_rps", "running load allocated to the site", "site"),
+		siteChunks:  r.LabeledCounter(p+"site.chunks", "greedy allocation chunks won by the site", "site"),
 		siteCost:    r.LabeledCounter(p+"site.cost_usd", "running site cost (w*grid + beta*delay)", "site"),
 		siteGrid:    r.LabeledCounter(p+"site.grid_kwh", "running site grid draw", "site"),
-		siteErrors:  r.LabeledCounter(p+"site.solve_errors", "solver failures surfaced by the site's shard", "site"),
+		siteErrors:  r.LabeledCounter(p+"site.solve_errors", "real solver failures surfaced by the site", "site"),
 		siteDeficit: r.LabeledGauge(p+"site.deficit_kwh", "site carbon-deficit queue length", "site"),
 
 		shardSolves:   r.LabeledCounter(p+"shard.solves", "GSD solves run by the site's shard", "site"),
@@ -352,6 +231,7 @@ func (m *FleetMetrics) Site(name string) *FleetSiteMetrics {
 	}
 	s := &FleetSiteMetrics{
 		LoadRPS:     m.siteLoad.With(name),
+		Chunks:      m.siteChunks.With(name),
 		CostUSD:     m.siteCost.With(name),
 		GridKWh:     m.siteGrid.With(name),
 		SolveErrors: m.siteErrors.With(name),
@@ -404,7 +284,7 @@ func (m *FleetMetrics) ObserveStep(totalUSD, totalGridKWh, seconds float64) {
 // BatchMetrics instruments the batch-job scheduler: submission and
 // completion counters, deferred (future-slot) submissions, served work,
 // and the live queue depth / backlog gauges. Value-based for the same
-// no-cycle reason as GeoMetrics; all methods are nil-safe.
+// no-cycle reason as FleetMetrics; all methods are nil-safe.
 type BatchMetrics struct {
 	Submitted   *Counter // jobs accepted by Submit
 	Deferred    *Counter // of those, jobs queued for a future arrival slot
